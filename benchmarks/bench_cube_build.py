@@ -96,10 +96,6 @@ def bench_cube_build(benchmark):
     assert np.allclose(cube.excluded_values, reference_excluded)
     speedup = rowloop_seconds / columnar_seconds
 
-    started = time.perf_counter()
-    ExplanationCube(relation, explain_by, measure, columnar=False)
-    legacy_seconds = time.perf_counter() - started
-
     # --- 2 + 3. rollup cache: warm explain skips the build -----------
     with tempfile.TemporaryDirectory() as cache_dir:
         config = ExplainConfig(k=synthetic.k, cache_dir=cache_dir)
@@ -129,7 +125,6 @@ def bench_cube_build(benchmark):
     lines = [
         f"rows={relation.n_rows} epsilon={cube.n_explanations} n={cube.n_times}",
         f"row-loop build:        {rowloop_seconds * 1000:8.1f} ms",
-        f"legacy finalize loop:  {legacy_seconds * 1000:8.1f} ms",
         f"columnar build:        {columnar_seconds * 1000:8.1f} ms",
         f"speedup (row-loop -> columnar): {speedup:.1f}x",
         f"explain cold (build+store):  {cold_seconds * 1000:8.1f} ms "

@@ -1,23 +1,18 @@
-"""Serving-tier load test: parallel sharded builds + concurrent clients.
+"""Serving-tier load test: concurrent clients, one and many processes.
 
 The serving tier's claims, measured end to end over real HTTP:
 
-1. the **sharded parallel cold build** produces a cube byte-identical to
-   the one-shot build (asserted on the raw arrays) while spreading the
-   work across worker processes — the wall-clock ratio is reported, with
-   the machine's CPU count for context (a single-core container or a
-   tiny input cannot show a speedup; multi-core CI and paper scale do);
-2. the first ``/explain`` for a dataset pays the cold build once
+1. the first ``/explain`` for a dataset pays the cold build once
    (single-flight: a whole herd of concurrent clients triggers exactly
    one prepare), after which **warm** requests are served from the
    session LRU orders of magnitude faster — cold latency vs warm
    p50/p95 and aggregate requests/second are reported;
-3. the served answers carry **byte-identical** top-k explanations
+2. the served answers carry **byte-identical** top-k explanations
    (``float.hex`` comparison over HTTP JSON) to a direct in-process
    :class:`ExplainSession` over the same data and configuration;
-4. the **multi-process front end** (``repro serve --workers N``) answers
+3. the **multi-process front end** (``repro serve --workers N``) answers
    identically to the single-process server from one shared mmap-ed cube
-   artifact, with per-worker RSS far below a per-worker cube copy —
+   file, with per-worker RSS far below a per-worker cube copy —
    measured end to end through the real CLI, with p50/p95/p99 latency
    per worker count.
 
@@ -42,12 +37,10 @@ import numpy as np
 
 from repro.core.config import ExplainConfig
 from repro.core.session import ExplainSession
-from repro.cube.datacube import ExplanationCube
 from repro.datasets.synthetic import generate_synthetic
 from repro.serve.http import ServeApp, reuseport_available
 from repro.serve.registry import DatasetSpec, SessionRegistry
 from repro.serve.scheduler import QueryScheduler
-from repro.serve.sharding import ShardedBuilder
 from support import append_run, emit, git_rev, is_paper_scale, scale
 
 BENCH_JSON = Path(__file__).parent / "BENCH_serve.json"
@@ -110,27 +103,7 @@ def bench_serve_throughput(benchmark):
     dataset = synthetic.dataset
     config = ExplainConfig.optimized(k=3)
 
-    # --- 1. sharded parallel build: byte-identical, timed ----------------
-    started = time.perf_counter()
-    one_shot = ExplanationCube(
-        dataset.relation, dataset.explain_by, dataset.measure
-    )
-    one_shot_seconds = time.perf_counter() - started
-
-    builder = ShardedBuilder(n_shards=4, max_workers=4, min_rows_per_shard=1)
-    started = time.perf_counter()
-    sharded = builder.build(
-        dataset.relation, dataset.explain_by, dataset.measure
-    )
-    sharded_seconds = time.perf_counter() - started
-    assert builder.last_report.n_shards == 4
-    assert sharded.labels == one_shot.labels
-    assert sharded.explanations == one_shot.explanations
-    assert sharded.included_values.tobytes() == one_shot.included_values.tobytes()
-    assert sharded.excluded_values.tobytes() == one_shot.excluded_values.tobytes()
-    build_speedup = one_shot_seconds / sharded_seconds
-
-    # --- 2. concurrent clients against a live server ----------------------
+    # --- 1. concurrent clients against a live server ----------------------
     spec = DatasetSpec.from_dataset(dataset, config=config)
     registry = SessionRegistry([spec])
     app = ServeApp(
@@ -168,10 +141,11 @@ def bench_serve_throughput(benchmark):
             lambda: _get_json(url), rounds=5, iterations=1
         )
         assert _served_top_k(warm_result) == reference
+        epsilon = registry.session(dataset.name).cube.n_explanations
     finally:
         app.shutdown()
 
-    # --- 3. parity with a direct in-process session -----------------------
+    # --- 2. parity with a direct in-process session -----------------------
     direct = ExplainSession(
         dataset.relation,
         dataset.measure,
@@ -184,11 +158,8 @@ def bench_serve_throughput(benchmark):
 
     cores = os.cpu_count() or 1
     lines = [
-        f"rows={dataset.relation.n_rows} epsilon={one_shot.n_explanations} "
+        f"rows={dataset.relation.n_rows} epsilon={epsilon} "
         f"n={n_points} clients={n_clients} requests={n_requests} cores={cores}",
-        f"one-shot build:            {one_shot_seconds * 1000:8.1f} ms",
-        f"sharded build (4 shards, 4 procs): {sharded_seconds * 1000:8.1f} ms  "
-        f"({build_speedup:.2f}x on {cores} core(s), byte-identical)",
         f"cold  /explain (build + query): {cold_seconds * 1000:8.1f} ms",
         f"warm  /explain p50:             {p50 * 1000:8.1f} ms",
         f"warm  /explain p95:             {p95 * 1000:8.1f} ms",
@@ -205,12 +176,6 @@ def bench_serve_throughput(benchmark):
         "cores": cores,
         "clients": n_clients,
         "requests": n_requests,
-        "sharded_build": {
-            "one_shot_ms": round(one_shot_seconds * 1000, 3),
-            "sharded_ms": round(sharded_seconds * 1000, 3),
-            "speedup": round(build_speedup, 2),
-            "byte_identical": True,
-        },
         "http": {
             "cold_ms": round(cold_seconds * 1000, 3),
             "warm_p50_ms": round(p50 * 1000, 3),
@@ -220,7 +185,6 @@ def bench_serve_throughput(benchmark):
         },
     }
     append_run(BENCH_JSON, record)
-    benchmark.extra_info["build_speedup"] = round(build_speedup, 2)
     benchmark.extra_info["cores"] = cores
     benchmark.extra_info["throughput_rps"] = round(throughput, 1)
     benchmark.extra_info["warm_p50_ms"] = round(p50 * 1000, 2)
@@ -228,7 +192,7 @@ def bench_serve_throughput(benchmark):
 
 
 # ----------------------------------------------------------------------
-# 4. multi-process worker sweep (through the real CLI)
+# 3. multi-process worker sweep (through the real CLI)
 # ----------------------------------------------------------------------
 _LISTEN_RE = re.compile(r"listening on (http://[\d.]+:\d+)")
 _PIDS_RE = re.compile(r"workers: \d+ \(pids ([\d, ]+)\)")
@@ -310,8 +274,8 @@ def bench_serve_worker_sweep(benchmark):
         cube_nbytes = None
         for workers in sweep:
             # A fresh cache dir per point would defeat the sweep's purpose:
-            # every point shares the one finalized artifact, so points 2+
-            # start warm (the paper-metric: artifact adoption, not rebuild).
+            # every point shares the one cube file, so points 2+ start warm
+            # (the paper-metric: memory-mapped adoption, not rebuild).
             cache_dir = str(Path(tmp) / "cache")
             server = _CliServer(uri, cache_dir, workers)
             try:
@@ -359,7 +323,7 @@ def bench_serve_worker_sweep(benchmark):
         server = _CliServer(uri, str(Path(tmp) / "cache"), 2)
         try:
             explain_url = f"{server.url}/explain?dataset={uri}"
-            _get_json(explain_url)  # warm both the artifact and the socket
+            _get_json(explain_url)  # warm both the cube file and the socket
             warm = benchmark.pedantic(
                 lambda: _get_json(explain_url), rounds=5, iterations=1
             )
@@ -371,7 +335,7 @@ def bench_serve_worker_sweep(benchmark):
     lines = [
         f"rows={synthetic.dataset.relation.n_rows} clients={n_clients} "
         f"requests={n_requests} cores={cores} "
-        f"resident_cube={cube_nbytes / 1e6:.1f} MB (shared via artifact)"
+        f"resident_cube={cube_nbytes / 1e6:.1f} MB (shared via mmap)"
     ]
     for point in points:
         rss_text = ", ".join(

@@ -50,12 +50,11 @@ Commands
 ``serve``
     Start the concurrent JSON-over-HTTP serving tier
     (:mod:`repro.serve`): many datasets behind a memory-budget + TTL
-    session LRU, single-flight cold builds (optionally sharded across
-    worker processes), and a query thread pool that dedupes identical
-    in-flight requests.  ``--profile-hz`` runs a continuous sampling
-    profiler feeding per-phase self-time into ``/metrics``;
-    ``--profile-slow`` auto-captures a profile for every request that
-    crosses ``--slow-query-ms``.
+    session LRU, single-flight cold builds, and a query thread pool that
+    dedupes identical in-flight requests.  ``--profile-hz`` runs a
+    continuous sampling profiler feeding per-phase self-time into
+    ``/metrics``; ``--profile-slow`` auto-captures a profile for every
+    request that crosses ``--slow-query-ms``.
 ``obs``
     Aggregate the serve tier's exported observability files
     (``<cache-dir>/obs``): ``top`` ranks profile hotspots and per-phase
@@ -98,7 +97,7 @@ Examples
     python -m repro explain --dataset sp500 --explain-by category \\
         --cache-dir ./cube-cache --lattice
     python -m repro serve --datasets covid-total,npz:sales.npz --port 8765 \\
-        --cache-dir ./cube-cache --build-shards 4 --lattice
+        --cache-dir ./cube-cache --lattice
     curl 'http://127.0.0.1:8765/explain?dataset=covid-total'
     python -m repro detect scan --dataset covid-daily --top 10
     python -m repro detect plan --dataset covid-daily --out plan.json
@@ -1031,8 +1030,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         ),
         ttl_seconds=args.ttl,
         query_workers=args.query_workers,
-        build_shards=args.build_shards,
-        build_workers=args.build_workers,
         max_requests=args.max_requests,
         max_inflight=args.max_inflight,
         lattice=args.lattice,
@@ -1056,11 +1053,11 @@ def _command_serve(args: argparse.Namespace) -> int:
             )
             workers = 1
         elif not options["cache_dir"]:
-            # Workers share memory only through the mmap-ed artifact, and
-            # the artifact needs a directory to live in.
+            # Workers share memory only through the mmap-ed cache entries,
+            # and those need a directory to live in.
             options["cache_dir"] = tempfile.mkdtemp(prefix="repro-serve-")
             print(
-                f"--workers needs a cache dir for the shared cube artifact; "
+                f"--workers needs a cache dir for the shared cube files; "
                 f"using {options['cache_dir']}",
                 file=sys.stderr,
                 flush=True,
@@ -1068,7 +1065,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     if workers > 1:
         from repro.serve.multiproc import WorkerPool
 
-        options["artifacts"] = True
         pool = WorkerPool(options, workers=workers).start()
         # The port line is machine-read by smoke tests (--port 0 binds an
         # ephemeral port), so print and flush it before blocking.
@@ -1575,17 +1571,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="query thread-pool size (default 8)",
     )
     serve.add_argument(
-        "--build-shards",
-        type=int,
-        help="split cold cube builds into this many time shards built in "
-        "parallel worker processes (byte-identical to one-shot; default off)",
-    )
-    serve.add_argument(
-        "--build-workers",
-        type=int,
-        help="process-pool size for sharded builds (default: CPUs - 1)",
-    )
-    serve.add_argument(
         "--max-requests",
         type=int,
         help="shut down after serving this many requests (smoke tests); "
@@ -1602,7 +1587,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="fork this many SO_REUSEPORT serve processes sharing one "
-        "mmap-ed cube artifact per dataset (default 1; needs --cache-dir, "
+        "mmap-ed cube file per dataset (default 1; needs --cache-dir, "
         "a temp dir is used if unset; falls back to single-process where "
         "SO_REUSEPORT is unavailable)",
     )

@@ -66,10 +66,6 @@ class ExplainConfig:
         this for workloads that produce unboundedly many distinct cubes
         (e.g. streaming, where every snapshot has a fresh fingerprint).
         ``None`` (default) keeps the cache unbounded.
-    columnar:
-        Use the vectorized columnar cube build (default).  ``False``
-        selects the legacy per-candidate finalize loop — identical
-        results, only slower; kept for benchmarking.
     """
 
     m: int = 3
@@ -89,7 +85,6 @@ class ExplainConfig:
     deduplicate: bool = True
     cache_dir: str | None = None
     cache_max_entries: int | None = None
-    columnar: bool = True
 
     def __post_init__(self) -> None:
         if self.m < 1:

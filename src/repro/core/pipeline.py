@@ -70,7 +70,6 @@ def prepare_cube(
             time_attr=time_attr,
             max_order=config.max_order,
             deduplicate=config.deduplicate,
-            columnar=config.columnar,
         )
     return cube, (hit if cache is not None else None)
 

@@ -64,11 +64,11 @@ DEFAULT_SCORER_CACHE_SIZE = 32
 CUBE_FIELDS = ("max_order", "deduplicate")
 
 #: All prepare-tier fields: the cube-shaping ones plus the prepare
-#: *mechanics* (cache persistence, build strategy).  A per-call config
-#: that changes any of these makes :meth:`ExplainSession.pipeline` fall
-#: back to a fresh legacy build, preserving the pre-session semantics —
-#: e.g. a one-off ``cache_dir`` override still builds and stores on disk.
-PREPARE_FIELDS = CUBE_FIELDS + ("cache_dir", "cache_max_entries", "columnar")
+#: *mechanics* (cache persistence).  A per-call config that changes any
+#: of these makes :meth:`ExplainSession.pipeline` fall back to a fresh
+#: legacy build, preserving the pre-session semantics — e.g. a one-off
+#: ``cache_dir`` override still builds and stores on disk.
+PREPARE_FIELDS = CUBE_FIELDS + ("cache_dir", "cache_max_entries")
 
 #: :class:`ExplainConfig` fields that select a derived scorer.  Together
 #: with the window they form the session's LRU key; everything else
@@ -285,7 +285,6 @@ class ExplainSession:
             time_attr=time_attr,
             max_order=config.max_order,
             deduplicate=config.deduplicate,
-            columnar=config.columnar,
             chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
             out_of_core=out_of_core,
         )
@@ -399,7 +398,6 @@ class ExplainSession:
                 time_attr=time_attr,
                 max_order=config.max_order,
                 deduplicate=config.deduplicate,
-                columnar=config.columnar,
                 chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
                 out_of_core=out_of_core,
             )
@@ -628,12 +626,11 @@ class ExplainSession:
         append log): instead of re-scattering every delta, the session
         jumps straight to the cached cube.  All derived scorers are
         dropped.  ``cache_hit`` defaults to ``True`` (the fast-forward
-        semantics); the serving tier's sharded cold build passes its real
-        outcome instead, together with the ``prepare_seconds`` it spent,
-        so latency reporting stays truthful.  ``relation=None`` keeps the
-        current binding — :meth:`from_source` installs an out-of-core or
-        cache-served cube this way without materializing the (lazy)
-        relation.
+        semantics); a cold build passes its real outcome instead, together
+        with the ``prepare_seconds`` it spent, so latency reporting stays
+        truthful.  ``relation=None`` keeps the current binding —
+        :meth:`from_source` installs an out-of-core or cache-served cube
+        this way without materializing the (lazy) relation.
         """
         if (
             cube.measure != self._measure
@@ -750,9 +747,9 @@ class ExplainSession:
         that changes any prepare-tier field (``PREPARE_FIELDS``) falls
         back to a fresh legacy pipeline over the windowed relation: a
         different ``max_order``/``deduplicate`` cannot be served from the
-        session's cube at all, and a one-off ``cache_dir``/``columnar``
-        must keep its pre-session side effects (build strategy, on-disk
-        store) rather than being silently ignored.
+        session's cube at all, and a one-off ``cache_dir`` must keep its
+        pre-session side effect (the on-disk store) rather than being
+        silently ignored.
         """
         config = config or self._config
         if any(

@@ -1,14 +1,8 @@
 """Explanation candidates, the per-explanation time-series data cube, and
 the persistent rollup cache that makes built cubes reusable artifacts."""
 
-from repro.cube.artifact import (
-    ARTIFACT_SUFFIX,
-    artifact_path_for,
-    open_artifact,
-    write_artifact,
-)
 from repro.cube.cache import CacheEntry, CubeKey, RollupCache, cube_key, load_or_build
-from repro.cube.datacube import ExplanationCube, merge_cubes, merge_shard_cubes
+from repro.cube.datacube import ExplanationCube, merge_cubes
 from repro.cube.delta import AppendInfo
 from repro.cube.explanations import CandidateSet, enumerate_candidates
 from repro.cube.filters import (
@@ -18,7 +12,6 @@ from repro.cube.filters import (
 )
 
 __all__ = [
-    "ARTIFACT_SUFFIX",
     "AppendInfo",
     "CacheEntry",
     "CandidateSet",
@@ -27,13 +20,9 @@ __all__ = [
     "ExplanationCube",
     "RollupCache",
     "apply_support_filter",
-    "artifact_path_for",
     "cube_key",
     "enumerate_candidates",
     "load_or_build",
     "merge_cubes",
-    "merge_shard_cubes",
-    "open_artifact",
     "support_filter_mask",
-    "write_artifact",
 ]

@@ -33,20 +33,31 @@ runs.
 
 On-disk format
 --------------
-Each entry is an ``.npz`` archive: the four series arrays plus a JSON
-header (key, labels, explanation items, counts) encoded as a ``uint8``
-member.  Deliberately **no pickle** — entries are loaded with
-``allow_pickle=False``, so a crafted file in a shared cache directory can
-corrupt at most itself, never execute code in the reader.  JSON confines
-labels and explanation values to str/int/float/bool/None; that is what
-relations produce (``.item()``-converted scalars), and anything else
-fails the store loudly rather than silently widening the format.
+Each entry is one **uncompressed** ``.npz`` archive (``np.savez``): the
+four series arrays plus a JSON header (key, labels, explanation items,
+counts) encoded as a ``uint8`` member.  Deliberately **no pickle** —
+entries are loaded with ``allow_pickle=False``, so a crafted file in a
+shared cache directory can corrupt at most itself, never execute code in
+the reader.  JSON confines labels and explanation values to
+str/int/float/bool/None; that is what relations produce
+(``.item()``-converted scalars), and anything else fails the store
+loudly rather than silently widening the format.
 
-Since format 2, an *appendable* cube also persists its delta-maintenance
-ledger (:mod:`repro.cube.delta`): the per-subset aggregate states, group
-counts/values and parent maps, plus the overall state.  A format-2 entry
-therefore revives as an appendable cube — a restarted stream can load a
-snapshot and keep appending to it.
+An *appendable* cube also persists its delta-maintenance ledger
+(:mod:`repro.cube.delta`): the per-subset aggregate states, group
+counts/values and parent maps, plus the overall state.  Such an entry
+revives as an appendable cube — a restarted stream can load a snapshot
+and keep appending to it.
+
+Because no member is compressed, every member is a contiguous byte
+range of the file.  :meth:`RollupCache.load` with ``mmap=True`` opens
+the series matrices with the zip-offset ``np.memmap`` technique of
+:mod:`repro.store.npz_source`: the returned cube is a *fixed* snapshot
+whose arrays live once in the page cache, shared read-only by every
+process that opens the same entry — how N serve workers share one
+resident copy per dataset.  Format 3 is this layout; entries of older
+formats (format 2 was the same payload ``np.savez_compressed``-ed) read
+as misses and are rebuilt.
 
 Streaming replay (chain keys + append log)
 ------------------------------------------
@@ -91,7 +102,7 @@ def _requests_counter(name: str, help: str):
 
 #: Bump when the on-disk payload layout changes; older entries then read
 #: as misses and are rebuilt.
-CACHE_FORMAT = 2
+CACHE_FORMAT = 3
 
 #: Filename suffix of cache entries.
 CACHE_SUFFIX = ".cube.npz"
@@ -236,26 +247,30 @@ class RollupCache:
     # ------------------------------------------------------------------
     # Load / store
     # ------------------------------------------------------------------
-    def load(self, key: CubeKey) -> ExplanationCube | None:
+    def load(self, key: CubeKey, mmap: bool = False) -> ExplanationCube | None:
         """The cached cube for ``key``, or ``None`` on miss/corruption.
 
         Entries stored with their delta ledger (appendable cubes) revive
         as appendable cubes; ledger-less entries load as fixed cubes.
+        ``mmap=True`` is the serving path: the cube comes back *fixed*,
+        its series arrays memory-mapped read-only from the entry, so
+        every process opening it shares one page-cache copy; a member
+        that cannot be mapped falls back to a private copy.
         """
-        cube = self._load(key)
+        cube = self._load(key, mmap)
         _requests_counter("repro_rollup_cache_requests_total", "Rollup cache operations by outcome (hit / miss / store)").inc(
             outcome="hit" if cube is not None else "miss"
         )
         return cube
 
-    def _load(self, key: CubeKey) -> ExplanationCube | None:
+    def _load(self, key: CubeKey, mmap: bool) -> ExplanationCube | None:
         path = self.path_for(key)
         try:
             with np.load(path, allow_pickle=False) as data:
                 header = _read_header(data)
                 if header["format"] != CACHE_FORMAT or header["key"] != _key_dict(key):
                     return None
-                if header.get("appendable"):
+                if header.get("appendable") and not mmap:
                     cube = ExplanationCube.from_append_state(
                         _load_append_state(header, data)
                     )
@@ -266,16 +281,20 @@ class RollupCache:
                         )
                         for items in header["explanations"]
                     )
+                    series = {
+                        name: _series_member(path, data, name, mmap)
+                        for name in ("overall", "supports", "included", "excluded")
+                    }
                     cube = ExplanationCube.from_arrays(
                         aggregate=get_aggregate(header["aggregate"]),
                         measure=header["measure"],
                         explain_by=tuple(header["explain_by"]),
                         labels=tuple(header["labels"]),
-                        overall=np.asarray(data["overall"], dtype=np.float64),
+                        overall=series["overall"],
                         explanations=explanations,
-                        supports=np.asarray(data["supports"], dtype=np.int64),
-                        included=np.asarray(data["included"], dtype=np.float64),
-                        excluded=np.asarray(data["excluded"], dtype=np.float64),
+                        supports=series["supports"],
+                        included=series["included"],
+                        excluded=series["excluded"],
                     )
             # Mark the entry as recently used so LRU eviction keeps hot
             # entries alive.
@@ -317,11 +336,12 @@ class RollupCache:
             "n_explanations": cube.n_explanations,
             "n_times": cube.n_times,
         }
+        # C-contiguous series members are what load(mmap=True) can map.
         arrays: dict[str, np.ndarray] = {
-            "overall": cube.overall_values,
-            "supports": cube.supports,
-            "included": cube.included_values,
-            "excluded": cube.excluded_values,
+            "overall": np.ascontiguousarray(cube.overall_values, dtype=np.float64),
+            "supports": np.ascontiguousarray(cube.supports, dtype=np.int64),
+            "included": np.ascontiguousarray(cube.included_values, dtype=np.float64),
+            "excluded": np.ascontiguousarray(cube.excluded_values, dtype=np.float64),
         }
         state = cube.append_state
         if state is not None:
@@ -371,7 +391,7 @@ class RollupCache:
                 continue
             try:
                 with os.fdopen(handle, "wb") as tmp:
-                    np.savez_compressed(
+                    np.savez(
                         tmp,
                         header=np.frombuffer(header_bytes, dtype=np.uint8),
                         **arrays,
@@ -397,45 +417,6 @@ class RollupCache:
             return path
         assert last_error is not None
         raise last_error
-
-    # ------------------------------------------------------------------
-    # Finalized-cube artifacts (repro.cube.artifact)
-    # ------------------------------------------------------------------
-    def artifact_path_for(self, key: CubeKey) -> Path:
-        """Where the mmap-able finalized artifact of ``key`` lives."""
-        from repro.cube.artifact import artifact_path_for
-
-        return artifact_path_for(self._directory, key)
-
-    def store_artifact(self, key: CubeKey, cube: ExplanationCube) -> Path:
-        """Atomically persist ``cube`` as a mmap-able artifact; returns the path.
-
-        Unlike :meth:`store` the payload is written *uncompressed*, so
-        every serve worker can memory-map the series matrices in place
-        — one resident copy per machine instead of one per process.
-        """
-        from repro.cube.artifact import write_artifact
-
-        path = write_artifact(self._directory, key, cube)
-        _requests_counter(
-            "repro_artifact_requests_total", "Finalized-cube artifact operations by outcome (hit / miss / store)"
-        ).inc(outcome="store")
-        return path
-
-    def load_artifact(
-        self, key: CubeKey, mmap: bool = True, appendable: bool = False
-    ) -> ExplanationCube | None:
-        """The artifact cube for ``key`` or ``None`` — same miss contract
-        as :meth:`load` (corruption reads as a miss, never an error)."""
-        from repro.cube.artifact import open_artifact
-
-        cube = open_artifact(
-            self._directory, key, mmap=mmap, appendable=appendable
-        )
-        _requests_counter(
-            "repro_artifact_requests_total", "Finalized-cube artifact operations by outcome (hit / miss / store)"
-        ).inc(outcome="hit" if cube is not None else "miss")
-        return cube
 
     def _glob(self, pattern: str) -> list[Path]:
         """Directory listing that tolerates the directory vanishing.
@@ -536,9 +517,8 @@ class RollupCache:
     def entries(self) -> list[CacheEntry]:
         """Metadata for every entry in the cache directory (sorted by name).
 
-        Only each entry's JSON header is decompressed — the series
-        arrays stay on disk, so inspecting a multi-gigabyte cache is
-        cheap.
+        Only each entry's JSON header is read — the series arrays stay
+        on disk, so inspecting a multi-gigabyte cache is cheap.
         """
         rows: list[CacheEntry] = []
         if not self._directory.is_dir():
@@ -576,19 +556,15 @@ class RollupCache:
         return rows
 
     def clear(self) -> int:
-        """Delete every cache entry, finalized artifact, append log,
-        lattice manifest, and any orphaned temp file left by a crashed
-        writer; returns the number of files removed."""
-        from repro.cube.artifact import ARTIFACT_SUFFIX
-
+        """Delete every cache entry, append log, lattice manifest, and any
+        orphaned temp file left by a crashed writer; returns the number of
+        files removed."""
         removed = 0
         if not self._directory.is_dir():
             return removed
         for pattern in (
             f"*{CACHE_SUFFIX}",
             f"*{CACHE_SUFFIX}.tmp",
-            f"*{ARTIFACT_SUFFIX}",
-            f"*{ARTIFACT_SUFFIX}.tmp",
             f"*{LOG_SUFFIX}",
             f"*{LOG_SUFFIX}.tmp",
             f"*{MANIFEST_SUFFIX}",
@@ -614,8 +590,24 @@ def _python_value(value: object) -> object:
     return value.item() if hasattr(value, "item") else value
 
 
+def _series_member(
+    path: Path, data: "np.lib.npyio.NpzFile", name: str, mmap: bool
+) -> np.ndarray:
+    """One series array of an entry: mapped in place when ``mmap`` is set
+    and the member allows it, else a private copy."""
+    if mmap:
+        # Imported here: repro.store's package init imports this module.
+        from repro.store.npz_source import mmap_member
+
+        try:
+            return mmap_member(path, name)
+        except (ValueError, KeyError, OSError):
+            pass
+    return np.asarray(data[name])
+
+
 def _load_append_state(header: dict, data: "np.lib.npyio.NpzFile") -> CubeAppendState:
-    """Reconstruct a cube's delta ledger from a format-2 entry."""
+    """Reconstruct a cube's delta ledger from an appendable entry."""
     meta = header["state"]
     schema = Schema(
         Attribute(name, AttributeKind(kind)) for name, kind in meta["schema"]
@@ -783,7 +775,6 @@ def load_or_build(
     time_attr: str | None = None,
     max_order: int = 3,
     deduplicate: bool = True,
-    columnar: bool = True,
 ) -> tuple[ExplanationCube, bool]:
     """Serve a cube from the cache, building and storing it on a miss.
 
@@ -829,7 +820,6 @@ def load_or_build(
         time_attr=time_attr,
         max_order=max_order,
         deduplicate=deduplicate,
-        columnar=columnar,
     )
     if cache is not None and key is not None:
         try:

@@ -54,10 +54,6 @@ class ExplanationCube:
     deduplicate:
         Drop containment-redundant conjunctions (see
         :mod:`repro.cube.explanations`).
-    columnar:
-        Use the vectorized batch finalize (default).  ``False`` falls back
-        to the legacy per-candidate Python loop — same results, kept for
-        benchmarking and as an executable specification.
     appendable:
         Retain the pre-finalize aggregate states (the delta-maintenance
         ledger, see :mod:`repro.cube.delta`) so :meth:`append` can absorb
@@ -74,7 +70,6 @@ class ExplanationCube:
         time_attr: str | None = None,
         max_order: int = 3,
         deduplicate: bool = True,
-        columnar: bool = True,
         appendable: bool = True,
     ):
         if isinstance(aggregate, str):
@@ -95,7 +90,6 @@ class ExplanationCube:
             n_times,
             aggregate,
             overall_state,
-            columnar=columnar,
         )
 
         self._aggregate = aggregate
@@ -587,45 +581,6 @@ def merge_cubes(base: ExplanationCube, other: ExplanationCube) -> ExplanationCub
     return ExplanationCube.from_append_state(merged)
 
 
-def merge_shard_cubes(shards: Sequence[ExplanationCube]) -> ExplanationCube:
-    """Combine time-partitioned shard cubes into one cube (shards in order).
-
-    This is the list form :class:`~repro.serve.sharding.ShardedBuilder`
-    feeds: each shard must cover a time-label range that sorts *strictly
-    after* the previous shard's (disjoint and ordered), so every
-    ``(group, timestamp)`` bucket is fed by exactly one shard and the
-    merged cube is **bit-identical** to a one-shot build over the
-    concatenated shard relations.  Unlike :func:`merge_cubes` — which
-    tolerates shared timestamps by state-merging them — an overlapping or
-    out-of-order shard here is a partitioning bug, so it raises
-    :class:`~repro.exceptions.QueryError` instead of silently degrading
-    the bit-identity guarantee.  An empty shard list raises too; a single
-    shard returns a fresh re-finalized cube (no aliasing with the input).
-    """
-    shards = list(shards)
-    if not shards:
-        raise QueryError("cannot merge an empty list of shard cubes")
-    states = [_require_appendable(cube) for cube in shards]
-    previous_last = None
-    for position, state in enumerate(states):
-        if not state.labels:
-            raise QueryError(f"shard {position} covers no time points")
-        first, last = state.time_range()
-        if previous_last is not None and not first > previous_last:
-            raise QueryError(
-                f"shard {position} starts at {first!r}, which does not sort "
-                f"strictly after the previous shard's last timestamp "
-                f"{previous_last!r}; time shards must be disjoint and given "
-                "in time order"
-            )
-        previous_last = last
-    merged = states[0].clone()
-    for state in states[1:]:
-        _check_same_query(merged, state)
-        merged.absorb(state)
-    return ExplanationCube.from_append_state(merged)
-
-
 def _materialize_series(
     candidates: CandidateSet,
     values: np.ndarray,
@@ -633,18 +588,16 @@ def _materialize_series(
     n_times: int,
     aggregate: AggregateFunction,
     overall_state: np.ndarray,
-    columnar: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Finalized included/excluded series plus the per-subset states.
 
     States are accumulated once per attribute *subset* (bucket id =
     ``group_id * n_times + time_position``), so the relation is scanned
-    ``O(|subsets|)`` times, not ``O(epsilon)``.  In columnar mode every
-    subset's candidates are then gathered with one fancy-index per subset
-    and finalized as a ``(n_components, k, n_times)`` batch; the legacy
-    mode finalizes one candidate at a time in a Python loop.  The raw
-    states are returned as well so an appendable cube can retain them as
-    its delta-maintenance ledger.
+    ``O(|subsets|)`` times, not ``O(epsilon)``.  Every subset's candidates
+    are then gathered with one fancy-index per subset and finalized as a
+    ``(n_components, k, n_times)`` batch.  The raw states are returned as
+    well so an appendable cube can retain them as its delta-maintenance
+    ledger.
     """
     per_subset_states: list[np.ndarray] = []
     for group_ids in candidates.row_groups:
@@ -658,29 +611,19 @@ def _materialize_series(
     n_candidates = len(candidates)
     included = np.empty((n_candidates, n_times), dtype=np.float64)
     excluded = np.empty((n_candidates, n_times), dtype=np.float64)
-    if columnar:
-        subset_index = np.asarray(candidates.subset_index, dtype=np.intp)
-        local_ids = np.asarray(candidates.local_ids, dtype=np.intp)
-        rest_state = overall_state[:, None, :]  # broadcasts over the batch
-        # Candidates are emitted grouped by subset in ascending order, so
-        # each subset's rows are one contiguous slice.
-        bounds = np.searchsorted(
-            subset_index, np.arange(len(per_subset_states) + 1, dtype=np.intp)
-        )
-        for subset_pos, states in enumerate(per_subset_states):
-            rows = slice(int(bounds[subset_pos]), int(bounds[subset_pos + 1]))
-            if rows.start == rows.stop:
-                continue
-            batch = states[:, local_ids[rows], :]
-            included[rows] = aggregate.finalize(batch)
-            excluded[rows] = aggregate.finalize(aggregate.subtract(rest_state, batch))
-    else:
-        for position in range(n_candidates):
-            subset_pos = candidates.subset_index[position]
-            local_id = candidates.local_ids[position]
-            state = per_subset_states[subset_pos][:, local_id, :]
-            included[position] = aggregate.finalize(state)
-            excluded[position] = aggregate.finalize(
-                aggregate.subtract(overall_state, state)
-            )
+    subset_index = np.asarray(candidates.subset_index, dtype=np.intp)
+    local_ids = np.asarray(candidates.local_ids, dtype=np.intp)
+    rest_state = overall_state[:, None, :]  # broadcasts over the batch
+    # Candidates are emitted grouped by subset in ascending order, so
+    # each subset's rows are one contiguous slice.
+    bounds = np.searchsorted(
+        subset_index, np.arange(len(per_subset_states) + 1, dtype=np.intp)
+    )
+    for subset_pos, states in enumerate(per_subset_states):
+        rows = slice(int(bounds[subset_pos]), int(bounds[subset_pos + 1]))
+        if rows.start == rows.stop:
+            continue
+        batch = states[:, local_ids[rows], :]
+        included[rows] = aggregate.finalize(batch)
+        excluded[rows] = aggregate.finalize(aggregate.subtract(rest_state, batch))
     return included, excluded, per_subset_states

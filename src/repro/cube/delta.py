@@ -316,18 +316,6 @@ class CubeAppendState:
     def n_times(self) -> int:
         return len(self.labels)
 
-    def time_range(self) -> tuple[Hashable, Hashable]:
-        """First and last time label covered by this ledger.
-
-        The labels are maintained in axis (ascending) order, so this is
-        the inclusive time span the cube's rows fall into —
-        :func:`~repro.cube.datacube.merge_shard_cubes` uses it to verify
-        shards are disjoint and ordered before merging.
-        """
-        if not self.labels:
-            raise QueryError("cube covers no time points")
-        return self.labels[0], self.labels[-1]
-
     def layouts(self) -> list[np.ndarray]:
         return [ledger.layout() for ledger in self.ledgers]
 

@@ -114,7 +114,6 @@ def build_lattice(
     specs: Sequence[RollupSpec],
     cache: RollupCache | None = None,
     time_attr: str | None = None,
-    columnar: bool = True,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     out_of_core: bool = True,
 ) -> tuple[dict[RollupSpec, ExplanationCube], LatticeBuildReport]:
@@ -152,7 +151,6 @@ def build_lattice(
                 for root in roots
             ],
             time_attr=time_attr,
-            columnar=columnar,
             chunk_rows=chunk_rows,
             out_of_core=out_of_core,
         )
@@ -169,7 +167,6 @@ def build_lattice(
                 time_attr=time_attr,
                 max_order=root.max_order,
                 deduplicate=root.deduplicate,
-                columnar=columnar,
                 appendable=True,
             )
             for root in roots

@@ -7,12 +7,9 @@ actually runs:
 * :class:`~repro.serve.registry.SessionRegistry` — owns many named
   prepared sessions behind a memory-budget + TTL LRU, with per-key build
   locks so concurrent requests for a cold dataset trigger exactly one
-  prepare (single-flight coalescing).
-* :class:`~repro.serve.sharding.ShardedBuilder` — splits a cold relation
-  into time shards, builds shard cubes in parallel worker *processes*, and
-  combines them with :func:`~repro.cube.datacube.merge_shard_cubes` —
-  byte-identical to a one-shot build, and feeding the same persistent
-  :class:`~repro.cube.cache.RollupCache`.
+  prepare (single-flight coalescing).  With a cache directory, a cold
+  prepare adopts the dataset's :class:`~repro.cube.cache.RollupCache`
+  entry memory-mapped instead of building.
 * :class:`~repro.serve.scheduler.QueryScheduler` — a query thread pool
   that dedupes identical in-flight queries and serves results from the
   session LRU.
@@ -23,25 +20,22 @@ actually runs:
   :mod:`repro.obs`: per-request trace ids, Prometheus metrics, a
   structured access log and a ``--slow-query-ms`` slow-query log.
 * :class:`~repro.serve.multiproc.WorkerPool` — ``repro serve --workers N``:
-  N forked ``SO_REUSEPORT`` workers sharing one mmap-able finalized-cube
-  artifact per dataset, so resident memory is per-dataset, not per-worker.
+  N forked ``SO_REUSEPORT`` workers sharing one mmap-able cube file per
+  dataset, so resident memory is per-dataset, not per-worker.
 """
 
 from repro.serve.http import ServeApp, make_app, reuseport_available
 from repro.serve.multiproc import WorkerPool, prebuild_artifacts
 from repro.serve.registry import DatasetSpec, SessionRegistry
 from repro.serve.scheduler import QueryScheduler
-from repro.serve.sharding import ShardedBuilder, split_time_shards
 
 __all__ = [
     "DatasetSpec",
     "QueryScheduler",
     "ServeApp",
     "SessionRegistry",
-    "ShardedBuilder",
     "WorkerPool",
     "make_app",
     "prebuild_artifacts",
     "reuseport_available",
-    "split_time_shards",
 ]

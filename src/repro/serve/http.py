@@ -84,7 +84,6 @@ from repro.serve.scheduler import (
     QUERY_OVERRIDE_TYPES,
     QueryScheduler,
 )
-from repro.serve.sharding import ShardedBuilder
 from repro.store import is_source_uri
 
 #: Query-string spellings that differ from the ExplainConfig field name.
@@ -874,12 +873,9 @@ def make_app(
     memory_budget_bytes: int | None = None,
     ttl_seconds: float | None = None,
     query_workers: int = DEFAULT_QUERY_WORKERS,
-    build_shards: int | None = None,
-    build_workers: int | None = None,
     max_requests: int | None = None,
     max_inflight: int | None = None,
     lattice: bool = False,
-    artifacts: bool = False,
     reuse_port: bool = False,
     verbose: bool = False,
     access_log: bool = True,
@@ -896,17 +892,14 @@ def make_app(
     ``datasets`` defaults to every bundled dataset; entries may also be
     :mod:`repro.store` source URIs (``csv:…`` / ``npz:…`` / ``sqlite:…``),
     which are served through the source-keyed rollup cache and the
-    out-of-core build.  ``build_shards`` enables the sharded parallel
-    cold build for bundled datasets (``None``/``0``/``1`` builds
-    one-shot); ``build_workers`` sizes its process pool.  ``lattice``
-    routes every cold prepare through the dataset's rollup lattice
-    (:mod:`repro.lattice`) — pre-build it with ``repro lattice build``
-    and point both at the same ``cache_dir``.  ``artifacts`` serves cold
-    prepares from (and feeds) the mmap-able finalized-cube artifact in
-    ``cache_dir`` (:mod:`repro.cube.artifact`) — the multi-process front
-    end (:mod:`repro.serve.multiproc`) relies on it so N workers share
-    one resident copy per dataset; ``reuse_port`` binds the listening
-    socket with ``SO_REUSEPORT`` for the same purpose.
+    out-of-core build.  With a ``cache_dir``, cold prepares adopt the
+    dataset's cache entry memory-mapped when one exists (and feed it
+    when not) — the multi-process front end (:mod:`repro.serve.multiproc`)
+    relies on it so N workers share one resident copy per dataset;
+    ``reuse_port`` binds the listening socket with ``SO_REUSEPORT`` for
+    the same purpose.  ``lattice`` routes every cold prepare through the
+    dataset's rollup lattice (:mod:`repro.lattice`) — pre-build it with
+    ``repro lattice build`` and point both at the same ``cache_dir``.
 
     Observability: ``access_log`` defaults *on* here (real serving wants
     request lines; tests construct with ``access_log=False``), and
@@ -917,9 +910,6 @@ def make_app(
     ``profile_slow`` auto-captures a profile for each slow query
     (:mod:`repro.obs.profile`).
     """
-    builder = None
-    if build_shards is not None and build_shards > 1:
-        builder = ShardedBuilder(n_shards=build_shards, max_workers=build_workers)
     names = tuple(datasets) if datasets is not None else available_datasets()
     specs = [
         DatasetSpec.from_source(name, lattice=lattice)
@@ -931,9 +921,7 @@ def make_app(
         specs=specs,
         memory_budget_bytes=memory_budget_bytes,
         ttl_seconds=ttl_seconds,
-        builder=builder,
         cache_dir=cache_dir,
-        artifacts=artifacts,
     )
     scheduler = QueryScheduler(registry, max_workers=query_workers)
     if obs_dir is None and cache_dir is not None:

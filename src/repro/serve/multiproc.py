@@ -1,4 +1,4 @@
-"""The multi-process serving front end: N workers, one port, one artifact.
+"""The multi-process serving front end: N workers, one port, one cube file.
 
 One Python process caps the solve throughput at the GIL however many
 threads the scheduler pools.  The classic fix — fork N servers — normally
@@ -11,12 +11,12 @@ facilities so neither cost is paid:
   their accept queues.  No parent proxy, no socket hand-off; a worker
   that dies simply drops out of the group and the survivors keep
   answering.
-* **the finalized-cube artifact** (:mod:`repro.cube.artifact`) — the
-  parent pre-builds each dataset's cube once and publishes it as an
-  uncompressed, mmap-able file; every worker's registry then adopts the
-  artifact read-only via ``np.memmap``, so the series matrices live once
-  in the page cache regardless of the worker count.  Resident memory is
-  per *dataset*, not per worker.
+* **the rollup-cache entry** (:mod:`repro.cube.cache`) — the parent
+  pre-builds each dataset's cube once into the shared cache directory,
+  whose uncompressed entries are mmap-able; every worker's registry then
+  adopts the entry read-only via ``np.memmap``, so the series matrices
+  live once in the page cache regardless of the worker count.  Resident
+  memory is per *dataset*, not per worker.
 
 Admission control rides along: each worker bounds its in-flight requests
 (``max_inflight``) and sheds the excess with ``503`` + ``Retry-After``
@@ -71,10 +71,10 @@ def _worker_main(options: dict) -> None:
 def prebuild_artifacts(
     datasets: Sequence[str] | None, cache_dir: str, lattice: bool = False
 ) -> int:
-    """Build and publish every dataset's finalized artifact once.
+    """Build and publish every dataset's cube once.
 
     Runs in the parent before forking: each cold build lands in
-    ``cache_dir`` as a mmap-able artifact, so every worker's first
+    ``cache_dir`` as a mmap-able cache entry, so every worker's first
     request is an artifact hit (warm start, no per-worker build).  The
     parent's own sessions are dropped afterwards — it keeps serving
     nothing, so its resident set stays small.  Returns the number of
@@ -91,7 +91,7 @@ def prebuild_artifacts(
         else DatasetSpec.bundled(name, lattice=lattice)
         for name in names
     ]
-    registry = SessionRegistry(specs=specs, cache_dir=cache_dir, artifacts=True)
+    registry = SessionRegistry(specs=specs, cache_dir=cache_dir)
     for name in names:
         registry.session(name)
     registry.clear()
@@ -99,17 +99,16 @@ def prebuild_artifacts(
 
 
 class WorkerPool:
-    """N forked ``SO_REUSEPORT`` serve workers over one shared artifact set.
+    """N forked ``SO_REUSEPORT`` serve workers over one shared cache directory.
 
     Parameters
     ----------
     options:
         :func:`~repro.serve.http.make_app` keyword options, applied to
         every worker.  ``port=0`` reserves an ephemeral port in the
-        parent (read it back from :attr:`port`).  ``build_shards`` /
-        ``build_workers`` are consumed by the parent's pre-build and
-        stripped from the workers — workers adopt artifacts, they do not
-        build.
+        parent (read it back from :attr:`port`).  With a ``cache_dir``
+        the parent pre-builds every dataset there and the workers adopt
+        the entries memory-mapped — they do not build.
     workers:
         How many processes to fork (must be >= 2; use the plain
         :class:`~repro.serve.http.ServeApp` for one).
@@ -159,7 +158,7 @@ class WorkerPool:
     def start(
         self, warm: bool = True, ready_timeout: float = READY_TIMEOUT_SECONDS
     ) -> "WorkerPool":
-        """Reserve the port, pre-build artifacts, fork and await readiness."""
+        """Reserve the port, pre-build the cubes, fork and await readiness."""
         # Reserve the port first: a bound (never listening) SO_REUSEPORT
         # socket pins an ephemeral port for the pool's lifetime without
         # receiving connections — TCP only balances across *listening*
@@ -174,11 +173,8 @@ class WorkerPool:
         worker_options.update(
             host=self._host, port=self._port, reuse_port=True
         )
-        worker_options.setdefault("artifacts", True)
-        worker_options.pop("build_shards", None)
-        worker_options.pop("build_workers", None)
         cache_dir = worker_options.get("cache_dir")
-        if warm and cache_dir and worker_options.get("artifacts"):
+        if warm and cache_dir:
             prebuild_artifacts(
                 worker_options.get("datasets"),
                 cache_dir,

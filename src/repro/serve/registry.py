@@ -18,10 +18,12 @@ prepared session for ``name``" under three production constraints:
   N-1 threads block on the lock and then adopt the winner's session
   (counted as ``coalesced`` in :meth:`stats`).
 
-Cold prepares go through the :class:`~repro.serve.sharding.ShardedBuilder`
-when one is configured (parallel shard builds, byte-identical, feeding the
-persistent rollup cache); otherwise through the session's own
-:meth:`~repro.core.session.ExplainSession.prepare`.
+With a cache directory, a cold prepare first tries to adopt the
+dataset's rollup-cache entry memory-mapped
+(:meth:`~repro.cube.cache.RollupCache.load` with ``mmap=True``): N
+processes serving the same dataset then share one page-cache copy of its
+cube.  On a miss the session prepares as usual, and that prepare's cache
+store is the file the next process adopts.
 """
 
 from __future__ import annotations
@@ -42,8 +44,8 @@ from repro.exceptions import QueryError
 from repro.lattice.router import LatticeRouter
 from repro.obs.metrics import BUILD_BUCKETS, get_registry as get_metrics
 from repro.obs.trace import span
-from repro.serve.sharding import ShardedBuilder
 from repro.store import resolve_source
+from repro.store.ingest import source_cube_key
 
 
 def default_config_for(dataset: Dataset) -> ExplainConfig:
@@ -179,7 +181,6 @@ class RegistryStats:
     expirations: int = 0
     build_seconds: float = 0.0
     artifact_hits: int = 0
-    artifact_stores: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -190,7 +191,6 @@ class RegistryStats:
             "expirations": self.expirations,
             "build_seconds": self.build_seconds,
             "artifact_hits": self.artifact_hits,
-            "artifact_stores": self.artifact_stores,
         }
 
 
@@ -207,19 +207,13 @@ class SessionRegistry:
         unbounded.  The most recently used session always survives.
     ttl_seconds:
         Idle time after which a session is dropped; ``None`` disables.
-    builder:
-        A :class:`~repro.serve.sharding.ShardedBuilder` for parallel cold
-        builds; ``None`` prepares sessions in-process, one-shot.
     cache_dir:
-        Persistent rollup-cache directory shared by every dataset; cold
-        builds load from and store into it.
-    artifacts:
-        Serve cold prepares from the mmap-able finalized-cube artifact
-        (:mod:`repro.cube.artifact`) in ``cache_dir`` when one exists —
-        the series matrices are then memory-mapped read-only, so N
-        worker processes opening the same artifact share one resident
-        copy through the page cache (warm start near zero).  Cold builds
-        feed the artifact.  Requires ``cache_dir``; inert without one.
+        Persistent rollup-cache directory shared by every dataset.  A
+        cold prepare of a non-lattice spec first adopts the dataset's
+        entry there read-only and memory-mapped — N worker processes
+        opening the same entry share one resident copy through the page
+        cache, and the warm start skips the build (``artifact_hits`` in
+        :meth:`stats`).  On a miss the session builds and stores into it.
     clock:
         Injectable monotonic clock (tests pin TTL behaviour with it).
     """
@@ -229,9 +223,7 @@ class SessionRegistry:
         specs: Sequence[DatasetSpec] = (),
         memory_budget_bytes: int | None = None,
         ttl_seconds: float | None = None,
-        builder: ShardedBuilder | None = None,
         cache_dir: str | None = None,
-        artifacts: bool = False,
         clock: Callable[[], float] = time.monotonic,
     ):
         self._specs: dict[str, DatasetSpec] = {}
@@ -240,10 +232,8 @@ class SessionRegistry:
         self._build_locks: dict[str, threading.Lock] = {}
         self._memory_budget = memory_budget_bytes
         self._ttl = ttl_seconds
-        self._builder = builder
         self._cache = RollupCache(cache_dir) if cache_dir else None
         self._cache_dir = cache_dir
-        self._artifacts = bool(artifacts and cache_dir)
         self._clock = clock
         self._stats = RegistryStats()
         metrics = get_metrics()
@@ -456,8 +446,6 @@ class SessionRegistry:
                 memory_budget_bytes=self._memory_budget,
                 ttl_seconds=self._ttl,
                 cache_dir=self._cache_dir,
-                artifacts=self._artifacts,
-                sharded_builds=self._builder is not None,
                 lattice=self.lattice_stats(),
                 detect=self.detect_stats(),
             )
@@ -535,27 +523,6 @@ class SessionRegistry:
         if self._cache_dir and not config.cache_dir:
             config = config.updated(cache_dir=self._cache_dir)
         explain_by = spec.explain_by or dataset.explain_by
-        artifact_key: CubeKey | None = None
-        if self._artifacts and not spec.lattice:
-            artifact_key = cube_key(
-                dataset.relation,
-                dataset.measure,
-                explain_by,
-                aggregate=dataset.aggregate,
-                max_order=config.max_order,
-                deduplicate=config.deduplicate,
-            )
-            adopted = self._adopt_artifact(
-                artifact_key,
-                relation=dataset.relation,
-                measure=dataset.measure,
-                explain_by=explain_by,
-                aggregate=dataset.aggregate,
-                config=config,
-                started=started,
-            )
-            if adopted is not None:
-                return adopted
         if spec.lattice:
             router = self._router_for(
                 dataset.relation.fingerprint(),
@@ -577,60 +544,33 @@ class SessionRegistry:
             aggregate=dataset.aggregate,
             config=config,
         )
-        if self._builder is not None:
-            cube, report = self._builder.build_with_report(
+        if self._cache is None or not self._adopt(
+            session,
+            cube_key(
                 dataset.relation,
-                explain_by,
                 dataset.measure,
+                explain_by,
                 aggregate=dataset.aggregate,
                 max_order=config.max_order,
                 deduplicate=config.deduplicate,
-                columnar=config.columnar,
-                cache=self._cache,
-            )
-            session.adopt_snapshot(
-                dataset.relation,
-                cube,
-                cache_hit=report.cache_hit,
-                prepare_seconds=time.perf_counter() - started,
-            )
-        else:
+            ),
+            started,
+        ):
             session.prepare()
-        self._store_artifact(artifact_key, session)
         return session, time.perf_counter() - started
 
-    def _adopt_artifact(
-        self,
-        key: CubeKey,
-        relation,
-        measure: str,
-        explain_by,
-        aggregate: str,
-        config: ExplainConfig,
-        started: float,
-        time_attr: str | None = None,
-    ) -> tuple[ExplainSession, float] | None:
-        """Build a session straight from a finalized artifact, if one exists.
+    def _adopt(self, session: ExplainSession, key: CubeKey, started: float) -> bool:
+        """Install the memory-mapped cache entry of ``key``, if one exists.
 
-        The adopted cube's series matrices are memory-mapped read-only —
-        every process opening the same artifact shares one page-cache
-        copy, and the warm start skips the build entirely.  ``relation``
-        may be a lazy loader (source-backed specs): it is handed to the
-        session unmaterialized and stays lazy.
+        The adopted cube is a fixed snapshot whose series matrices are
+        mapped read-only — every process opening the same entry shares
+        one page-cache copy, and the warm start skips the build entirely.
+        A lazy (source-backed) session stays lazy.  ``False`` on a miss.
         """
-        assert self._cache is not None
         with span("artifact-load"):
-            cube = self._cache.load_artifact(key)
+            cube = RollupCache(session.config.cache_dir).load(key, mmap=True)
         if cube is None:
-            return None
-        session = ExplainSession(
-            relation,
-            measure=measure,
-            explain_by=explain_by,
-            aggregate=aggregate,
-            time_attr=time_attr,
-            config=config,
-        )
+            return False
         session.adopt_snapshot(
             None,
             cube,
@@ -639,71 +579,20 @@ class SessionRegistry:
         )
         with self._lock:
             self._stats.artifact_hits += 1
-        return session, time.perf_counter() - started
-
-    def _store_artifact(self, key: CubeKey | None, session: ExplainSession) -> None:
-        """Feed the artifact store after a cold build (never fails the build)."""
-        if key is None or self._cache is None:
-            return
-        try:
-            self._cache.store_artifact(key, session.cube)
-        except (TypeError, OSError):
-            # Non-JSON labels/values or an unwritable cache directory make
-            # the cube unpersistable; the build itself is still good.
-            return
-        with self._lock:
-            self._stats.artifact_stores += 1
+        return True
 
     def _prepare_from_source(
         self, spec: DatasetSpec, started: float
     ) -> tuple[ExplainSession, float]:
         """Cold-build a source-backed spec (source-keyed cache, out-of-core).
 
-        The sharded builder is not used here — the chunked append build is
-        the bounded-memory analogue for sources — and the session's
-        relation stays lazy: a warm cache serve never parses the source.
+        The session's relation stays lazy: a warm cache serve never
+        parses the source.
         """
         source = resolve_source(spec.source)
         config = spec.config if spec.config is not None else ExplainConfig.optimized()
         if self._cache_dir and not config.cache_dir:
             config = config.updated(cache_dir=self._cache_dir)
-        artifact_key: CubeKey | None = None
-        if self._artifacts and not spec.lattice:
-            from repro.store.ingest import source_cube_key
-
-            schema = source.schema
-            measures = schema.measure_names()
-            if measures:
-                # Mirror ExplainSession.from_source's query defaults so
-                # the artifact key matches what the cold build produces.
-                measure = measures[0]
-                explain_by = (
-                    tuple(spec.explain_by)
-                    if spec.explain_by
-                    else schema.dimension_names()
-                )
-                artifact_key = source_cube_key(
-                    source,
-                    measure,
-                    explain_by,
-                    aggregate=source.default_aggregate,
-                    max_order=config.max_order,
-                    deduplicate=config.deduplicate,
-                )
-                adopted = self._adopt_artifact(
-                    artifact_key,
-                    relation=source.read,
-                    measure=measure,
-                    explain_by=explain_by,
-                    aggregate=source.default_aggregate,
-                    config=config,
-                    started=started,
-                    # The relation is a lazy loader: there is no schema to
-                    # default the time attribute from until first read.
-                    time_attr=schema.require_time(),
-                )
-                if adopted is not None:
-                    return adopted
         if spec.lattice:
             from repro.lattice.build import lattice_fingerprint
 
@@ -717,12 +606,34 @@ class SessionRegistry:
                 config=config,
             )
             return session, time.perf_counter() - started
-        session = ExplainSession.from_source(
-            source,
-            explain_by=spec.explain_by,
-            config=config,
+        schema = source.schema
+        measures = schema.measure_names()
+        if not measures:
+            raise QueryError(f"source {source.uri} binds no measure column")
+        # ExplainSession.from_source's query defaults, resolved once so the
+        # adopted key is the one the cold build below stores under.
+        query = dict(
+            measure=measures[0],
+            explain_by=(
+                tuple(spec.explain_by) if spec.explain_by else schema.dimension_names()
+            ),
+            aggregate=source.default_aggregate,
+            time_attr=schema.require_time(),
         )
-        self._store_artifact(artifact_key, session)
+        if self._cache is not None:
+            session = ExplainSession(source.read, config=config, **query)
+            key = source_cube_key(
+                source,
+                query["measure"],
+                query["explain_by"],
+                aggregate=query["aggregate"],
+                time_attr=query["time_attr"],
+                max_order=config.max_order,
+                deduplicate=config.deduplicate,
+            )
+            if self._adopt(session, key, started):
+                return session, time.perf_counter() - started
+        session = ExplainSession.from_source(source, config=config, **query)
         return session, time.perf_counter() - started
 
     def _router_for(self, fingerprint: str, time_attr: str) -> LatticeRouter:

@@ -120,55 +120,10 @@ def source_cube_key(
     )
 
 
-def _build_out_of_core(
-    source: DataSource,
-    explain_by: Sequence[str],
-    measure: str,
-    aggregate: str | AggregateFunction,
-    time_attr: str | None,
-    max_order: int,
-    deduplicate: bool,
-    columnar: bool,
-    chunk_rows: int,
-) -> tuple[ExplanationCube, int, int, int]:
-    """Chunk-feed the source through the append ledger.
-
-    Returns ``(cube, chunks, rows, peak_chunk_rows)``; raises
-    :class:`~repro.exceptions.QueryError` when the source yields no rows
-    or a chunk back-fills a new time label (the caller falls back).
-    """
-    cube: ExplanationCube | None = None
-    chunks = rows = peak = 0
-    for chunk in source.iter_chunks(chunk_rows):
-        if chunk.n_rows == 0:
-            continue
-        chunks += 1
-        rows += chunk.n_rows
-        peak = max(peak, chunk.n_rows)
-        if cube is None:
-            cube = ExplanationCube(
-                chunk,
-                explain_by,
-                measure,
-                aggregate=aggregate,
-                time_attr=time_attr,
-                max_order=max_order,
-                deduplicate=deduplicate,
-                columnar=columnar,
-                appendable=True,
-            )
-        else:
-            cube.append(chunk)
-    if cube is None:
-        raise QueryError(f"source {source.uri} yielded no rows")
-    return cube, chunks, rows, peak
-
-
 def scan_cubes_from_source(
     source: DataSource,
     queries: Sequence[dict],
     time_attr: str | None = None,
-    columnar: bool = True,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     out_of_core: bool = True,
 ) -> tuple[list[ExplanationCube], IngestReport]:
@@ -184,12 +139,12 @@ def scan_cubes_from_source(
 
     ``queries`` holds one dict per cube with the build parameters:
     ``explain_by``, ``measure``, and optionally ``aggregate``,
-    ``max_order``, ``deduplicate``.  Degradation mirrors
-    :func:`load_or_build_from_source`: a source whose chunk order violates
+    ``max_order``, ``deduplicate``.  A source whose chunk order violates
     the append contract (or ``out_of_core=False``) falls back to a single
     one-shot read feeding all N builds — still one scan, unbounded
     residency — and the report's ``relation`` hands the materialized rows
-    to callers that can reuse them.
+    to callers that can reuse them.  This is also the single-cube build
+    of :func:`load_or_build_from_source` (N = 1).
     """
     if not queries:
         raise QueryError("scan_cubes_from_source needs at least one query")
@@ -205,7 +160,6 @@ def scan_cubes_from_source(
             time_attr=time_attr,
             max_order=query.get("max_order", 3),
             deduplicate=query.get("deduplicate", True),
-            columnar=columnar,
             appendable=True,
         )
 
@@ -214,6 +168,9 @@ def scan_cubes_from_source(
     chunks = rows = peak = 0
     cubes: list[ExplanationCube] | None = None
     if out_of_core and getattr(source, "chunk_safe", True) is False:
+        # The source knows its row order violates the append contract
+        # (npz snapshots record it at convert time): skip the doomed
+        # chunked attempt instead of paying for it and then re-reading.
         out_of_core = False
     if out_of_core:
         try:
@@ -233,8 +190,12 @@ def scan_cubes_from_source(
                 raise QueryError(f"source {source.uri} yielded no rows")
             chunked = True
         except BackfillError:
-            # Chunk order unsafe — degrade to the shared one-shot read
-            # below, exactly like the single-cube path.
+            # An unordered source: a new label back-filled across a chunk
+            # boundary.  Degrade to the shared one-shot read below — same
+            # results, unbounded residency.  Only this specific error
+            # means "chunk order unsafe"; a misconfiguration (bad
+            # aggregate, invalid binding) propagates instead of paying a
+            # pointless full re-ingest to hit the same error again.
             cubes = None
             chunks = rows = peak = 0
     relation: Relation | None = None
@@ -265,7 +226,6 @@ def load_or_build_from_source(
     time_attr: str | None = None,
     max_order: int = 3,
     deduplicate: bool = True,
-    columnar: bool = True,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     out_of_core: bool = True,
 ) -> tuple[ExplanationCube, IngestReport]:
@@ -296,56 +256,22 @@ def load_or_build_from_source(
         if cached is not None:
             return cached, IngestReport(cache_hit=True, out_of_core=False)
 
-    started = time.perf_counter()
     with span("ingest"):
-        chunked = False
-        chunks = rows = peak = 0
-        cube: ExplanationCube | None = None
-        if out_of_core and getattr(source, "chunk_safe", True) is False:
-            # The source knows its row order violates the append contract
-            # (npz snapshots record it at convert time): skip the doomed
-            # chunked attempt instead of paying for it and then re-reading.
-            out_of_core = False
-        if out_of_core:
-            try:
-                cube, chunks, rows, peak = _build_out_of_core(
-                    source,
-                    explain_by,
-                    measure,
-                    aggregate,
-                    time_attr,
-                    max_order,
-                    deduplicate,
-                    columnar,
-                    chunk_rows,
-                )
-                chunked = True
-            except BackfillError:
-                # An unordered source: a new label back-filled across a
-                # chunk boundary.  Degrade to the one-shot build below —
-                # same results, unbounded residency.  Only this specific
-                # error means "chunk order unsafe"; a misconfiguration
-                # (bad aggregate, invalid binding) propagates instead of
-                # paying a pointless full re-ingest to hit the same
-                # error again.
-                cube = None
-        relation: Relation | None = None
-        if cube is None:
-            relation = source.read()
-            if relation.n_rows == 0:
-                raise QueryError(f"source {source.uri} yielded no rows")
-            chunks, rows, peak = 1, relation.n_rows, relation.n_rows
-            cube = ExplanationCube(
-                relation,
-                explain_by,
-                measure,
-                aggregate=aggregate,
-                time_attr=time_attr,
-                max_order=max_order,
-                deduplicate=deduplicate,
-                columnar=columnar,
-                appendable=True,
-            )
+        (cube,), report = scan_cubes_from_source(
+            source,
+            [
+                {
+                    "explain_by": explain_by,
+                    "measure": measure,
+                    "aggregate": aggregate,
+                    "max_order": max_order,
+                    "deduplicate": deduplicate,
+                }
+            ],
+            time_attr=time_attr,
+            chunk_rows=chunk_rows,
+            out_of_core=out_of_core,
+        )
     if cache is not None and key is not None:
         try:
             cache.store(key, cube)
@@ -353,15 +279,6 @@ def load_or_build_from_source(
             # Unstorable labels or an unwritable cache directory degrade
             # to an uncached build, exactly like load_or_build.
             pass
-    report = IngestReport(
-        cache_hit=False,
-        out_of_core=chunked,
-        chunks=chunks,
-        rows=rows,
-        peak_chunk_rows=peak,
-        build_seconds=time.perf_counter() - started,
-        relation=relation,
-    )
     return cube, report
 
 

@@ -118,12 +118,12 @@ def _read_header(path: Path) -> dict:
     return header
 
 
-def _mmap_member(path: Path, member: str) -> np.ndarray:
+def mmap_member(path: Path, member: str) -> np.ndarray:
     """Memory-map one uncompressed npy member of a zip archive.
 
     Any C-order array maps, whatever its rank — column snapshots are 1-D,
-    the finalized-cube artifact (:mod:`repro.cube.artifact`) maps its
-    ``(epsilon, n)`` series matrices through the same helper.  Raises
+    the rollup cache (:mod:`repro.cube.cache`) maps its ``(epsilon, n)``
+    series matrices through the same helper.  Raises
     ``ValueError`` for anything the fast path cannot represent
     (compressed member, Fortran order, object dtype, 0-d scalar, unknown
     npy version); the caller falls back to ``np.load``.
@@ -256,7 +256,7 @@ class NpzSource(DataSource):
                 member = f"c{position}"
                 if self._mmap:
                     try:
-                        arrays[name] = _mmap_member(self._path, member)
+                        arrays[name] = mmap_member(self._path, member)
                         continue
                     except (ValueError, KeyError, OSError):
                         pass

@@ -243,11 +243,10 @@ def test_serve_parser_accepts_options():
             "--memory-budget-mb", "256",
             "--ttl", "300",
             "--query-workers", "4",
-            "--build-shards", "4",
             "--max-requests", "10",
         ]
     )
-    assert args.port == 0 and args.build_shards == 4
+    assert args.port == 0 and args.query_workers == 4
     assert args.handler.__name__ == "_command_serve"
 
 

@@ -25,10 +25,10 @@ def _cubes_equal(left: ExplanationCube, right: ExplanationCube) -> bool:
         and left.explain_by == right.explain_by
         and left.aggregate.name == right.aggregate.name
         and left.measure == right.measure
-        and np.array_equal(left.supports, right.supports)
-        and np.array_equal(left.overall_values, right.overall_values)
-        and np.array_equal(left.included_values, right.included_values)
-        and np.array_equal(left.excluded_values, right.excluded_values)
+        and left.supports.tobytes() == right.supports.tobytes()
+        and left.overall_values.tobytes() == right.overall_values.tobytes()
+        and left.included_values.tobytes() == right.included_values.tobytes()
+        and left.excluded_values.tobytes() == right.excluded_values.tobytes()
     )
 
 
@@ -125,6 +125,195 @@ def test_entries_and_clear(cache):
     assert "CORRUPT" in corrupt[0].row()
     assert cache.clear() == 2
     assert cache.entries() == []
+
+
+def test_round_trip_is_byte_identical(cache):
+    relation = two_attr_relation()
+    built = ExplanationCube(relation, ["a", "b"], "m")
+    key = cube_key(relation, "m", ["a", "b"])
+    path = cache.store(key, built)
+    assert path == cache.path_for(key)
+    assert path.name.endswith(CACHE_SUFFIX)
+    for mmap in (False, True):
+        reopened = cache.load(key, mmap=mmap)
+        assert reopened is not None
+        assert _cubes_equal(built, reopened)
+
+
+def test_entries_are_stored_uncompressed(cache):
+    import zipfile
+
+    relation = two_attr_relation()
+    key = cube_key(relation, "m", ["a", "b"])
+    path = cache.store(key, ExplanationCube(relation, ["a", "b"], "m"))
+    with zipfile.ZipFile(path) as archive:
+        assert {info.compress_type for info in archive.infolist()} == {
+            zipfile.ZIP_STORED
+        }
+
+
+def test_mmap_load_maps_the_series(cache):
+    relation = two_attr_relation()
+    key = cube_key(relation, "m", ["a", "b"])
+    cache.store(key, ExplanationCube(relation, ["a", "b"], "m"))
+    reopened = cache.load(key, mmap=True)
+    # N processes opening the entry share one page-cache copy instead of
+    # N private heap copies; the mapped view is a fixed snapshot.
+    assert isinstance(reopened.included_values, np.memmap)
+    assert isinstance(reopened.excluded_values, np.memmap)
+    assert not reopened.appendable
+
+
+def test_mmap_load_falls_back_to_private_copies(cache, monkeypatch):
+    import repro.store.npz_source as npz_source
+
+    relation = two_attr_relation()
+    built = ExplanationCube(relation, ["a", "b"], "m")
+    key = cube_key(relation, "m", ["a", "b"])
+    cache.store(key, built)
+
+    def unmappable(path, member):
+        raise ValueError("member layout not mappable")
+
+    monkeypatch.setattr(npz_source, "mmap_member", unmappable)
+    reopened = cache.load(key, mmap=True)
+    assert reopened is not None and not reopened.appendable
+    assert not isinstance(reopened.included_values, np.memmap)
+    assert _cubes_equal(built, reopened)
+
+
+def test_load_without_mmap_returns_private_arrays(cache):
+    relation = two_attr_relation()
+    built = ExplanationCube(relation, ["a", "b"], "m", appendable=False)
+    key = cube_key(relation, "m", ["a", "b"])
+    cache.store(key, built)
+    reopened = cache.load(key)
+    assert not isinstance(reopened.included_values, np.memmap)
+    assert _cubes_equal(built, reopened)
+
+
+def test_fixed_cube_entry_has_no_appendable_state(cache):
+    relation = two_attr_relation()
+    key = cube_key(relation, "m", ["a", "b"])
+    cache.store(key, ExplanationCube(relation, ["a", "b"], "m", appendable=False))
+    for mmap in (False, True):
+        reopened = cache.load(key, mmap=mmap)
+        assert reopened is not None and not reopened.appendable
+
+
+def test_missing_and_wrong_key_are_mmap_misses(cache):
+    relation = two_attr_relation()
+    key = cube_key(relation, "m", ["a", "b"])
+    assert cache.load(key, mmap=True) is None
+    cache.store(key, ExplanationCube(relation, ["a", "b"], "m"))
+    assert cache.load(cube_key(relation, "m", ["a"]), mmap=True) is None
+
+
+def test_corrupted_entry_is_an_mmap_miss(cache):
+    relation = two_attr_relation()
+    key = cube_key(relation, "m", ["a", "b"])
+    path = cache.store(key, ExplanationCube(relation, ["a", "b"], "m"))
+    path.write_bytes(b"\x00" * 64)
+    assert cache.load(key, mmap=True) is None
+
+
+def test_appendable_revival_matches_rebuild(cache):
+    base = regime_relation(n=24)  # 3 rows per time point, ordered by time
+    head = base.head(16 * 3)
+    tail = base.take(np.arange(base.n_rows) >= 16 * 3)
+    key = cube_key(head, "sales", ["cat"])
+    cache.store(key, ExplanationCube(head, ["cat"], "sales", appendable=True))
+
+    revived = cache.load(key)
+    assert revived is not None and revived.appendable
+    revived.append(tail)
+    full = ExplanationCube(base, ["cat"], "sales")
+    assert revived.included_values.tobytes() == full.included_values.tobytes()
+    assert revived.excluded_values.tobytes() == full.excluded_values.tobytes()
+
+    # A memory-mapped load of the same entry is a fixed snapshot.
+    mapped = cache.load(key, mmap=True)
+    assert mapped is not None and not mapped.appendable
+
+
+def test_store_leaves_no_temp_files(cache):
+    relation = two_attr_relation()
+    built = ExplanationCube(relation, ["a", "b"], "m")
+    key = cube_key(relation, "m", ["a", "b"])
+    cache.store(key, built)
+    cache.store(key, built)  # overwrite is atomic too
+    leftovers = [p for p in cache.directory.iterdir() if p.name.endswith(".tmp")]
+    assert leftovers == []
+    assert cache.load(key, mmap=True) is not None
+
+
+def test_clear_makes_mmap_loads_miss(cache):
+    relation = two_attr_relation()
+    key = cube_key(relation, "m", ["a", "b"])
+    cache.store(key, ExplanationCube(relation, ["a", "b"], "m"))
+    assert cache.load(key, mmap=True) is not None
+    assert cache.clear() == 1
+    assert cache.load(key, mmap=True) is None
+    assert cache.entries() == []
+
+
+def _write_format2_entry(cache: RollupCache, key, cube: ExplanationCube):
+    """Hand-write ``cube`` in the format-2 layout: the same header and
+    series members as today, ``np.savez_compressed``-ed."""
+    import json
+    from dataclasses import asdict
+
+    key_fields = asdict(key)
+    key_fields["explain_by"] = list(key_fields["explain_by"])
+    header = {
+        "format": 2,
+        "key": key_fields,
+        "aggregate": cube.aggregate.name,
+        "measure": cube.measure,
+        "explain_by": list(cube.explain_by),
+        "labels": list(cube.labels),
+        "explanations": [
+            [[name, value] for name, value in conj.items]
+            for conj in cube.explanations
+        ],
+        "n_explanations": cube.n_explanations,
+        "n_times": cube.n_times,
+    }
+    cache.directory.mkdir(parents=True, exist_ok=True)
+    path = cache.path_for(key)
+    np.savez_compressed(
+        path,
+        header=np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8),
+        overall=cube.overall_values,
+        supports=cube.supports,
+        included=cube.included_values,
+        excluded=cube.excluded_values,
+    )
+    return path
+
+
+def test_format2_entries_read_as_misses_and_are_overwritten(cache, capsys):
+    from repro.cli import main
+
+    relation = regime_relation()
+    key = cube_key(relation, "sales", ["cat"])
+    path = _write_format2_entry(
+        cache, key, ExplanationCube(relation, ["cat"], "sales", appendable=False)
+    )
+    assert main(["cache", "inspect", "--cache-dir", str(cache.directory)]) == 0
+    assert "CORRUPT" in capsys.readouterr().out
+    assert cache.load(key) is None
+    assert cache.load(key, mmap=True) is None
+
+    cube, hit = load_or_build(cache, relation, ["cat"], "sales")
+    assert not hit
+    assert cache.path_for(key) == path
+    mapped = cache.load(key, mmap=True)
+    assert mapped is not None and isinstance(mapped.included_values, np.memmap)
+    assert _cubes_equal(cube, mapped)
+    assert main(["cache", "inspect", "--cache-dir", str(cache.directory)]) == 0
+    out = capsys.readouterr().out
+    assert "CORRUPT" not in out and "measure=sales" in out
 
 
 # ----------------------------------------------------------------------

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.cube.datacube import ExplanationCube
+from repro.cube.explanations import enumerate_candidates
 from repro.exceptions import ExplanationError
+from repro.relation.aggregates import get_aggregate
 from repro.relation.predicates import Conjunction, Eq
 from repro.relation.groupby import aggregate_over_time
 from tests.conftest import regime_relation
@@ -100,19 +102,56 @@ def test_series_accessor(cube):
     assert series.labels == cube.labels
 
 
+def _reference_finalize(relation, explain_by, measure, aggregate):
+    """The per-candidate finalize loop: the executable specification of
+    the cube's batched finalize.
+
+    Aggregate states are accumulated once per attribute subset, exactly as
+    the cube does; each candidate's included and excluded series are then
+    finalized one at a time.  Returns ``(candidates, included, excluded)``.
+    """
+    aggregate = get_aggregate(aggregate)
+    time_positions, labels = relation.time_positions(None)
+    n_times = len(labels)
+    values = relation.column(measure).astype(np.float64)
+    overall_state = aggregate.accumulate(values, time_positions, n_times)
+    candidates = enumerate_candidates(relation, explain_by)
+    per_subset_states = []
+    for group_ids in candidates.row_groups:
+        n_groups = int(group_ids.max()) + 1 if group_ids.size else 0
+        state = aggregate.accumulate(
+            values, group_ids * n_times + time_positions, n_groups * n_times
+        )
+        per_subset_states.append(
+            state.reshape(aggregate.n_components, n_groups, n_times)
+        )
+    included = np.empty((len(candidates), n_times), dtype=np.float64)
+    excluded = np.empty((len(candidates), n_times), dtype=np.float64)
+    for position in range(len(candidates)):
+        subset_pos = candidates.subset_index[position]
+        local_id = candidates.local_ids[position]
+        state = per_subset_states[subset_pos][:, local_id, :]
+        included[position] = aggregate.finalize(state)
+        excluded[position] = aggregate.finalize(
+            aggregate.subtract(overall_state, state)
+        )
+    return candidates, included, excluded
+
+
 @pytest.mark.parametrize("aggregate", ["sum", "count", "avg", "var"])
 def test_columnar_matches_legacy_build(aggregate):
+    """The batched finalize equals the per-candidate reference loop."""
     from tests.conftest import two_attr_relation
 
     relation = two_attr_relation()
     fast = ExplanationCube(relation, ["a", "b"], "m", aggregate=aggregate)
-    slow = ExplanationCube(
-        relation, ["a", "b"], "m", aggregate=aggregate, columnar=False
+    candidates, included, excluded = _reference_finalize(
+        relation, ["a", "b"], "m", aggregate
     )
-    assert fast.explanations == slow.explanations
-    assert np.array_equal(fast.included_values, slow.included_values)
-    assert np.array_equal(fast.excluded_values, slow.excluded_values)
-    assert np.array_equal(fast.supports, slow.supports)
+    assert fast.explanations == candidates.explanations
+    assert np.array_equal(fast.included_values, included)
+    assert np.array_equal(fast.excluded_values, excluded)
+    assert np.array_equal(fast.supports, candidates.supports)
 
 
 def test_public_from_arrays_roundtrip(cube):

@@ -457,7 +457,6 @@ class TestServeProfile:
             datasets=["covid-total"],
             port=0,
             cache_dir=str(tmp_path / "cache"),
-            artifacts=True,
             access_log=False,
             slow_query_ms=0.0,
             profile_slow=True,
@@ -466,6 +465,7 @@ class TestServeProfile:
         ).start()
         try:
             stop = threading.Event()
+            trace_ids: list[str] = []
 
             def loader():
                 while not stop.is_set():
@@ -474,6 +474,7 @@ class TestServeProfile:
                             f"{app.url}/explain?dataset=covid-total"
                         ) as response:
                             response.read()
+                            trace_ids.append(response.headers["X-Repro-Trace-Id"])
                     except OSError:
                         pass
 
@@ -509,7 +510,16 @@ class TestServeProfile:
             # trees actually recorded for that phase during the window
             # (the capture achieved ~hz sweeps over `window` seconds, so
             # one sample ≈ window/sweeps seconds; allow generous error).
-            traces = JsonLinesExporter.read(app.trace_export_path)
+            # The server exports a trace only after it has written the
+            # response body, so wait until every loader request's trace
+            # has landed before comparing.
+            deadline = time.time() + 10.0
+            while True:
+                traces = JsonLinesExporter.read(app.trace_export_path)
+                exported = {trace["trace_id"] for trace in traces}
+                if set(trace_ids) <= exported or time.time() >= deadline:
+                    break
+                time.sleep(0.05)
             span_seconds: dict[str, float] = {}
             for trace in traces:
                 for row in trace.get("spans", ()):

@@ -9,6 +9,8 @@ vectorized cost path and the reference distance implementation.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,25 +288,27 @@ def test_merge_cubes_matches_one_shot_on_time_shards(data, aggregate):
     n_shards=st.integers(1, 4),
 )
 def test_sharded_build_is_byte_identical_to_one_shot(data, aggregate, n_shards):
-    """The serving tier's sharded cold build == the one-shot build, bit for bit.
+    """Building time shards and folding them with ``merge_cubes`` == one-shot.
 
-    Time-partitioned shards feed disjoint ``(group, time)`` buckets, so
-    splitting into any number of shards, building each shard's cube
-    independently, and merging with ``merge_shard_cubes`` must reproduce
-    the exact bytes (candidate order, series arrays, supports) of a
-    single build over the whole relation — the property the
-    :class:`repro.serve.sharding.ShardedBuilder` relies on.
+    The rows are split into 1-4 contiguous time-label ranges.  Such shards
+    feed disjoint ``(group, time)`` buckets, so building each shard's cube
+    independently and merging them left in time order must reproduce the
+    exact bytes (candidate order, series arrays, supports) of a single
+    build over the whole relation.
     """
-    from repro.cube.datacube import merge_shard_cubes
-    from repro.serve.sharding import split_time_shards
-
     relation, dimensions, _ = data
-    shards = split_time_shards(relation, None, n_shards)
-    merged = merge_shard_cubes(
+    positions, labels = relation.time_positions(None)
+    ranges = np.array_split(np.arange(len(labels)), min(n_shards, len(labels)))
+    shards = [
+        relation.take((positions >= chunk[0]) & (positions <= chunk[-1]))
+        for chunk in ranges
+    ]
+    merged = functools.reduce(
+        merge_cubes,
         [
             ExplanationCube(shard, dimensions, "m", aggregate=aggregate, max_order=2)
             for shard in shards
-        ]
+        ],
     )
     one_shot = ExplanationCube(
         relation, dimensions, "m", aggregate=aggregate, max_order=2

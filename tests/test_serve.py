@@ -1,11 +1,10 @@
 """Tests for the serving tier (repro.serve).
 
-Covers the four tentpole pieces — the session registry (LRU, TTL, memory
-budget, single-flight coalescing), the sharded parallel cold build
-(byte-identity with one-shot, cache feeding, degraded serial path), the
-query scheduler (in-flight dedupe), and the JSON-over-HTTP API (every
-endpoint, error mapping, and parity with the CLI's answers) — plus the
-``repro serve`` CLI verb end-to-end in a subprocess.
+Covers the session registry (LRU, TTL, memory budget, single-flight
+coalescing, memory-mapped adoption of a warm cache entry), the query
+scheduler (in-flight dedupe), and the JSON-over-HTTP API (every endpoint,
+error mapping, and parity with the CLI's answers) — plus the ``repro
+serve`` CLI verb end-to-end in a subprocess.
 """
 
 from __future__ import annotations
@@ -17,6 +16,7 @@ import sys
 import threading
 import time
 import urllib.error
+import urllib.parse
 import urllib.request
 from pathlib import Path
 
@@ -25,15 +25,12 @@ import pytest
 
 from repro.core.config import ExplainConfig
 from repro.core.session import ExplainSession
-from repro.cube.cache import RollupCache, cube_key
-from repro.cube.datacube import ExplanationCube, merge_shard_cubes
 from repro.datasets.base import Dataset
 from repro.exceptions import QueryError
 from repro.serve.http import ServeApp, make_app
 from repro.serve.registry import DatasetSpec, SessionRegistry, session_nbytes
 from repro.serve.scheduler import QueryScheduler
-from repro.serve.sharding import ShardedBuilder, split_time_shards
-from tests.conftest import build_relation, regime_relation, two_attr_relation
+from tests.conftest import regime_relation
 
 
 def make_dataset(name: str = "regime", n: int = 24) -> Dataset:
@@ -54,139 +51,6 @@ def spec_for(dataset: Dataset, **kwargs) -> DatasetSpec:
 def _get_json(url: str):
     with urllib.request.urlopen(url) as response:
         return json.loads(response.read().decode("utf-8"))
-
-
-# ----------------------------------------------------------------------
-# Time sharding
-# ----------------------------------------------------------------------
-class TestSplitTimeShards:
-    def test_partitions_rows_by_contiguous_label_ranges(self):
-        relation = two_attr_relation(n=16)
-        shards = split_time_shards(relation, None, 4)
-        assert len(shards) == 4
-        assert sum(s.n_rows for s in shards) == relation.n_rows
-        previous_last = None
-        for shard in shards:
-            labels = sorted(set(shard.column("t")))
-            assert labels
-            if previous_last is not None:
-                assert labels[0] > previous_last
-            previous_last = labels[-1]
-
-    def test_clamps_to_label_count(self):
-        relation = two_attr_relation(n=4)
-        shards = split_time_shards(relation, None, 99)
-        assert len(shards) == 4
-        assert all(shard.n_rows > 0 for shard in shards)
-
-    def test_single_shard_returns_relation_unchanged(self):
-        relation = regime_relation()
-        (shard,) = split_time_shards(relation, None, 1)
-        assert shard is relation
-
-
-class TestShardedBuilder:
-    def _assert_identical(self, left: ExplanationCube, right: ExplanationCube):
-        assert left.labels == right.labels
-        assert left.explanations == right.explanations
-        assert left.supports.tobytes() == right.supports.tobytes()
-        assert left.overall_values.tobytes() == right.overall_values.tobytes()
-        assert left.included_values.tobytes() == right.included_values.tobytes()
-        assert left.excluded_values.tobytes() == right.excluded_values.tobytes()
-
-    def test_serial_sharded_build_is_byte_identical(self):
-        relation = two_attr_relation(n=20)
-        one_shot = ExplanationCube(relation, ["a", "b"], "m")
-        builder = ShardedBuilder(n_shards=3, max_workers=1, min_rows_per_shard=1)
-        cube = builder.build(relation, ["a", "b"], "m")
-        assert builder.last_report.n_shards == 3
-        assert not builder.last_report.parallel
-        self._assert_identical(cube, one_shot)
-        assert cube.appendable
-
-    def test_process_pool_build_is_byte_identical(self):
-        relation = two_attr_relation(n=20)
-        one_shot = ExplanationCube(relation, ["a", "b"], "m")
-        builder = ShardedBuilder(n_shards=2, max_workers=2, min_rows_per_shard=1)
-        cube = builder.build(relation, ["a", "b"], "m")
-        assert builder.last_report.n_shards == 2
-        self._assert_identical(cube, one_shot)
-
-    def test_small_relations_build_one_shot(self):
-        relation = regime_relation(n=6)
-        builder = ShardedBuilder(n_shards=4, max_workers=1)  # default min rows
-        builder.build(relation, ["cat"], "sales")
-        assert builder.last_report.n_shards == 1
-
-    def test_feeds_and_reuses_the_rollup_cache(self, tmp_path):
-        relation = two_attr_relation(n=16)
-        cache = RollupCache(tmp_path / "rollups")
-        builder = ShardedBuilder(n_shards=2, max_workers=1, min_rows_per_shard=1)
-        built = builder.build(relation, ["a", "b"], "m", cache=cache)
-        assert not builder.last_report.cache_hit
-        # The stored entry is the one a one-shot load_or_build would hit.
-        key = cube_key(relation, "m", ["a", "b"])
-        assert cache.load(key) is not None
-        again = builder.build(relation, ["a", "b"], "m", cache=cache)
-        assert builder.last_report.cache_hit
-        self._assert_identical(again, built)
-
-
-class TestMergeShardCubes:
-    def _day_cube(self, days) -> ExplanationCube:
-        rows = {"t": [], "cat": [], "m": []}
-        for day in days:
-            for cat in ("x", "y"):
-                rows["t"].append(f"d{day:02d}")
-                rows["cat"].append(cat)
-                rows["m"].append(float(day + (1 if cat == "x" else 2)))
-        relation = build_relation(
-            rows, dimensions=["cat"], measures=["m"], time="t"
-        )
-        return ExplanationCube(relation, ["cat"], "m")
-
-    def test_empty_shard_list_raises(self):
-        with pytest.raises(QueryError, match="empty"):
-            merge_shard_cubes([])
-
-    def test_single_shard_round_trips_without_aliasing(self):
-        cube = self._day_cube(range(4))
-        merged = merge_shard_cubes([cube])
-        assert merged is not cube
-        assert merged.labels == cube.labels
-        assert merged.explanations == cube.explanations
-        assert merged.included_values.tobytes() == cube.included_values.tobytes()
-        # No shared ledger state: appending to the merged cube must leave
-        # the input untouched.
-        before = cube.included_values.tobytes()
-        merged.append(
-            build_relation(
-                {"t": ["d09"], "cat": ["x"], "m": [5.0]},
-                dimensions=["cat"],
-                measures=["m"],
-                time="t",
-            )
-        )
-        assert cube.included_values.tobytes() == before
-
-    def test_out_of_order_shards_raise(self):
-        early, late = self._day_cube(range(0, 3)), self._day_cube(range(3, 6))
-        with pytest.raises(QueryError, match="sort strictly after"):
-            merge_shard_cubes([late, early])
-
-    def test_overlapping_shards_raise(self):
-        left, right = self._day_cube(range(0, 4)), self._day_cube(range(3, 6))
-        with pytest.raises(QueryError, match="disjoint"):
-            merge_shard_cubes([left, right])
-
-    def test_three_ordered_shards_match_one_shot(self):
-        merged = merge_shard_cubes(
-            [self._day_cube(range(0, 2)), self._day_cube(range(2, 4)), self._day_cube(range(4, 6))]
-        )
-        one_shot = self._day_cube(range(6))
-        assert merged.labels == one_shot.labels
-        assert merged.included_values.tobytes() == one_shot.included_values.tobytes()
-        assert merged.excluded_values.tobytes() == one_shot.excluded_values.tobytes()
 
 
 # ----------------------------------------------------------------------
@@ -314,21 +178,47 @@ class TestSessionRegistry:
         row = registry.describe()[0]
         assert row["loaded"] and row["epsilon"] > 0 and row["memory_bytes"] > 0
 
-    def test_sharded_builder_cold_path_matches_plain_prepare(self, tmp_path):
-        dataset = make_dataset(n=30)
-        plain = SessionRegistry([spec_for(dataset)])
-        sharded = SessionRegistry(
-            [spec_for(dataset)],
-            builder=ShardedBuilder(n_shards=3, max_workers=1, min_rows_per_shard=1),
-            cache_dir=str(tmp_path / "rollups"),
-        )
-        expected = plain.session("regime").explain()
-        observed = sharded.session("regime").explain()
-        assert [s.describe() for s in observed.segments] == [
-            s.describe() for s in expected.segments
-        ]
-        # The sharded build fed the shared rollup cache.
-        assert list((tmp_path / "rollups").glob("*.npz"))
+    @pytest.mark.parametrize("kind", ["bundled", "source"])
+    def test_second_registry_adopts_the_first_ones_entry_memory_mapped(
+        self, tmp_path, kind
+    ):
+        """The adopt key a registry derives equals the key its own cold
+        build stores under: a second registry over the same cache dir
+        adopts the first one's entry memory-mapped and answers /explain
+        byte-identically."""
+        if kind == "bundled":
+            name = "covid-total"
+            spec = DatasetSpec.bundled(name)
+        else:
+            from repro.store.npz_source import write_npz
+
+            path = tmp_path / "regime.npz"
+            write_npz(regime_relation(n=30), path)
+            name = f"npz:{path}"
+            spec = DatasetSpec.from_source(name)
+        cache_dir = str(tmp_path / "cache")
+
+        def serve_once():
+            registry = SessionRegistry([spec], cache_dir=cache_dir)
+            app = ServeApp(registry, QueryScheduler(registry), port=0).start()
+            try:
+                payload = _get_json(
+                    f"{app.url}/explain?dataset={urllib.parse.quote(name, safe='')}"
+                )
+            finally:
+                app.shutdown()
+            payload.pop("timings")
+            return registry, json.dumps(payload, sort_keys=True)
+
+        first, first_body = serve_once()
+        assert first.stats()["artifact_hits"] == 0
+        second, second_body = serve_once()
+        assert second.stats()["artifact_hits"] == 1
+        session = second.session(name)
+        assert isinstance(session.cube.included_values, np.memmap)
+        if kind == "source":
+            assert session.relation_loaded is False
+        assert second_body == first_body
 
 
 # ----------------------------------------------------------------------
@@ -558,8 +448,6 @@ class TestHttpApi:
             memory_budget_bytes=1 << 30,
             ttl_seconds=600.0,
             query_workers=2,
-            build_shards=2,
-            build_workers=1,
             access_log=False,
         ).start()
         try:
@@ -568,9 +456,8 @@ class TestHttpApi:
             payload = _get_json(f"{app.url}/explain?dataset=covid-total")
             assert payload["segments"]
             stats = _get_json(f"{app.url}/stats")
-            assert stats["registry"]["sharded_builds"] is True
             assert stats["registry"]["cache_dir"] == str(tmp_path / "rollups")
-            # The sharded cold build fed the shared rollup cache.
+            # The cold build fed the shared rollup cache.
             assert list((tmp_path / "rollups").glob("*.npz"))
         finally:
             app.shutdown()
@@ -863,9 +750,9 @@ def _no_timings(payload: dict) -> dict:
     reason="SO_REUSEPORT unavailable on this platform",
 )
 def test_worker_pool_serves_identically_and_survives_worker_loss(tmp_path):
-    """N workers over one shared artifact answer exactly like the
+    """N workers over one shared cube file answer exactly like the
     single-process server, and survivors keep answering after a kill."""
-    from repro.cube.artifact import ARTIFACT_SUFFIX
+    from repro.cube.cache import CACHE_SUFFIX
     from repro.serve.multiproc import WorkerPool
 
     cache_dir = str(tmp_path / "cache")
@@ -878,8 +765,7 @@ def test_worker_pool_serves_identically_and_survives_worker_loss(tmp_path):
         served = _no_timings(_get_json(url))
 
         single = make_app(
-            datasets=["covid-total"], cache_dir=cache_dir, artifacts=True, port=0,
-            access_log=False,
+            datasets=["covid-total"], cache_dir=cache_dir, port=0, access_log=False
         ).start()
         try:
             reference = _no_timings(_get_json(f"{single.url}/explain?dataset=covid-total"))
@@ -887,15 +773,14 @@ def test_worker_pool_serves_identically_and_survives_worker_loss(tmp_path):
             single.shutdown()
         assert served == reference
 
-        # The parent pre-built exactly one shared artifact; the workers
-        # adopted it instead of rebuilding.
-        assert list(Path(cache_dir).glob(f"*{ARTIFACT_SUFFIX}"))
+        # The parent pre-built the shared cube file; the workers adopted
+        # it instead of rebuilding.
+        assert list(Path(cache_dir).glob(f"*{CACHE_SUFFIX}"))
         # /stats lands on whichever worker the kernel picks per
         # connection; sample until we see the one that served /explain.
         saw_artifact_hit = False
         for _ in range(20):
             stats = _get_json(f"{pool.url}/stats")
-            assert stats["registry"]["artifacts"] is True
             if stats["registry"]["artifact_hits"] >= 1:
                 saw_artifact_hit = True
                 break
