@@ -1619,8 +1619,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--trace-sample",
         type=float,
         default=1.0,
-        help="fraction of requests whose phase-span tree is recorded and "
-        "exported (default 1.0; every response still carries an "
+        help="fraction of requests whose phase-span tree is exported "
+        "(default 1.0; every response still carries an "
         "X-Repro-Trace-Id header)",
     )
     serve.add_argument(

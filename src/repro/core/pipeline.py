@@ -9,14 +9,15 @@ optionally through guess-and-verify (O1).
 (c) *K-Segmentation*: NDCG-based segment costs, the Eq. 11 dynamic program,
 and the elbow selection of K — optionally on a sketch (O2).
 
-Wall-clock seconds of each module are recorded for the latency-breakdown
-experiment (Figure 15).
+Each call that returns a result is one ``explain`` span; its
+``timings`` (the latency breakdown of Figure 15) are computed from that
+span's subtree by :func:`explain_call`.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from repro.cube.datacube import ExplanationCube
 from repro.cube.filters import apply_support_filter
 from repro.diff.scorer import ScoredExplanation, SegmentScorer
 from repro.exceptions import SegmentationError
-from repro.obs.trace import span
+from repro.obs.trace import current_trace, span
 from repro.relation.table import Relation
 from repro.segmentation.dp import SegmentationScheme, solve_k_segmentation
 from repro.segmentation.kselect import elbow_point
@@ -72,6 +73,38 @@ def prepare_cube(
             deduplicate=config.deduplicate,
         )
     return cube, (hit if cache is not None else None)
+
+
+#: The Figure 15 module charged with each span's self time.  Every span
+#: not named here, the ``explain`` span's own self time included, is
+#: segmentation.
+FIGURE15_MODULES = {
+    "ca-solve": "cascading",
+    "cube-build": "precomputation",
+    "ingest": "precomputation",
+    "derive-scorer": "precomputation",
+    "precompute": "precomputation",
+    "cube-append": "precomputation",
+    "unit-solve": "precomputation",
+}
+
+
+@contextmanager
+def explain_call() -> Iterator[dict[str, float]]:
+    """One result-producing call: its ``explain`` span and its ``timings``.
+
+    Yields the dict to hand to the result as ``timings``.  When the span
+    closes, each span's self time in its subtree is charged to its
+    module (:data:`FIGURE15_MODULES`) and ``total`` is set to the span's
+    duration, so the three modules sum to the call's own wall time.
+    """
+    timings = dict.fromkeys(("precomputation", "cascading", "segmentation"), 0.0)
+    with span("explain") as call:
+        trace = current_trace()
+        yield timings
+    for name, seconds in trace.self_times(call).items():
+        timings[FIGURE15_MODULES.get(name, "segmentation")] += seconds
+    timings["total"] = call.duration
 
 
 def select_scheme(
@@ -146,7 +179,6 @@ class ExplainPipeline:
         self._epsilon = 0
         self._filtered_epsilon = 0
         self._cache_hit: bool | None = None
-        self._prepare_seconds = 0.0
 
     @classmethod
     def from_scorer(
@@ -155,7 +187,6 @@ class ExplainPipeline:
         config: ExplainConfig | None = None,
         epsilon: int | None = None,
         cache_hit: bool | None = None,
-        prepare_seconds: float = 0.0,
     ) -> "ExplainPipeline":
         """A pipeline whose prepare phase is an already-derived scorer.
 
@@ -178,10 +209,6 @@ class ExplainPipeline:
         cache_hit:
             Value for :attr:`cache_hit` (the session's rollup-cache
             outcome), ``None`` when no cache was involved.
-        prepare_seconds:
-            Wall-clock seconds the caller already spent building/deriving
-            the scorer; seeds the result's ``precomputation`` timing so
-            latency breakdowns stay truthful.
         """
         cube = scorer.cube
         pipeline = cls.__new__(cls)
@@ -196,7 +223,6 @@ class ExplainPipeline:
         pipeline._epsilon = cube.n_explanations if epsilon is None else epsilon
         pipeline._filtered_epsilon = cube.n_explanations
         pipeline._cache_hit = cache_hit
-        pipeline._prepare_seconds = prepare_seconds
         return pipeline
 
     @property
@@ -272,26 +298,23 @@ class ExplainPipeline:
             )
         return CascadingAnalysts(tree, m=self._config.m)
 
-    # Backwards-compatible alias for the pre-1.1 private name.
-    _build_solver = solver
-
     # ------------------------------------------------------------------
     # Full run
     # ------------------------------------------------------------------
     def run(self) -> ExplainResult:
-        """Execute the pipeline and return the evolving explanations."""
-        config = self._config
-        timings = {
-            "precomputation": self._prepare_seconds,
-            "cascading": 0.0,
-            "segmentation": 0.0,
-        }
+        """Execute the pipeline and return the evolving explanations.
 
-        started = time.perf_counter()
+        The call is one ``explain`` span (:func:`explain_call`).
+        """
+        with explain_call() as timings:
+            return self._run(timings)
+
+    def _run(self, timings: dict[str, float]) -> ExplainResult:
+        """The pipeline's work inside a caller's ``explain`` span."""
+        config = self._config
         with span("precompute"):
             scorer = self.prepare()
             solver = self.solver(scorer)
-        timings["precomputation"] += time.perf_counter() - started
 
         n_times = scorer.cube.n_times
         if n_times < 2:
@@ -300,7 +323,6 @@ class ExplainPipeline:
         with span("score"):
             positions: np.ndarray | None = None
             if config.use_sketch and n_times >= 8:
-                sketch_timings: dict[str, float] = {}
                 positions = select_sketch(
                     scorer,
                     solver,
@@ -308,11 +330,7 @@ class ExplainPipeline:
                     variant=config.variant,
                     length_cap=config.sketch_length,
                     size=config.sketch_size,
-                    timings=sketch_timings,
                 )
-                timings["precomputation"] += sketch_timings.get("precompute", 0.0)
-                timings["cascading"] += sketch_timings.get("cascading", 0.0)
-                timings["segmentation"] += sketch_timings.get("segmentation", 0.0)
 
             costs = SegmentationCosts(
                 scorer,
@@ -321,18 +339,12 @@ class ExplainPipeline:
                 variant=config.variant,
                 cut_positions=positions,
             )
-        timings["precomputation"] += costs.timings["precompute"]
-        timings["cascading"] += costs.timings["cascading"]
-        timings["segmentation"] += costs.timings["segmentation"]
 
-        dp_started = time.perf_counter()
         with span("segment"):
             scheme, k_was_auto, by_k = select_scheme(costs, config)
-        timings["segmentation"] += time.perf_counter() - dp_started
 
         with span("finalize"):
-            result = self._assemble(scorer, costs, scheme, k_was_auto, by_k, timings)
-        return result
+            return self._assemble(scorer, costs, scheme, k_was_auto, by_k, timings)
 
     # ------------------------------------------------------------------
     def _assemble(
@@ -360,7 +372,6 @@ class ExplainPipeline:
                 costs.variance(left, right) for left, right in scheme.segments()
             ]
         else:
-            evaluation_started = time.perf_counter()
             solver = self.solver(scorer)
             total_variance, per_segment = scheme_total_variance(
                 scorer,
@@ -369,7 +380,6 @@ class ExplainPipeline:
                 m=self._config.m,
                 variant=self._config.variant,
             )
-            timings["segmentation"] += time.perf_counter() - evaluation_started
         segments = []
         for (left, right), segment_variance in zip(scheme.segments(), per_segment):
             top = costs.segment_result(left, right)
@@ -393,9 +403,6 @@ class ExplainPipeline:
                     variance=segment_variance,
                 )
             )
-        timings["total"] = (
-            timings["precomputation"] + timings["cascading"] + timings["segmentation"]
-        )
         return ExplainResult(
             series=series,
             segments=tuple(segments),

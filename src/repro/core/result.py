@@ -69,7 +69,12 @@ class ExplainResult:
         Objective value of the chosen scheme (Table 7's quality measure).
     timings:
         Wall-clock seconds per pipeline module: ``precomputation``,
-        ``cascading``, ``segmentation``, and ``total`` (Figure 15).
+        ``cascading``, ``segmentation``, and ``total`` (Figure 15).  The
+        modules are self times from the span tree of the call that
+        produced the result (its ``explain`` span; see
+        :func:`~repro.core.pipeline.explain_call`) and sum to ``total``,
+        the call's wall time.  A cube built before the call, e.g. by a
+        registry prepare, is not included.
     epsilon:
         Candidate-explanation count before filtering (Table 6).  For
         windowed session queries this is the *full cube's* candidate

@@ -29,14 +29,13 @@ unchanged.
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Hashable, Sequence
 
 import numpy as np
 
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import ExplainPipeline, prepare_cube
+from repro.core.pipeline import ExplainPipeline, explain_call, prepare_cube
 from repro.core.recommend import AttributeScore, recommend_explain_by
 from repro.core.result import ExplainResult
 from repro.core.smoothing import smooth_cube
@@ -189,13 +188,12 @@ class ExplainSession:
         self._cube: ExplanationCube | None = None
         self._series: TimeSeries | None = None
         self._cache_hit: bool | None = None
-        self._prepare_seconds = 0.0
         self._scorer_cache_size = scorer_cache_size
         self._scorers: OrderedDict[tuple, SegmentScorer] = OrderedDict()
         self._last_result: ExplainResult | None = None
         # Sessions are shared across threads by the serving tier
         # (repro.serve): one reentrant lock serializes every mutation of
-        # the prepared cube, the scorer LRU and the timing bookkeeping.
+        # the prepared cube and the scorer LRU.
         # Only the *derivation* steps hold it — the heavy solve/segment
         # tiers run on immutable scorers outside the lock, so concurrent
         # queries still overlap.  It also gives per-session single-flight
@@ -275,7 +273,6 @@ class ExplainSession:
             if config.cache_dir
             else None
         )
-        started = time.perf_counter()
         cube, report = load_or_build_from_source(
             cache,
             source,
@@ -296,7 +293,6 @@ class ExplainSession:
             report.relation,
             cube,
             cache_hit=report.cache_hit if cache is not None else None,
-            prepare_seconds=time.perf_counter() - started,
         )
         session._ingest_report = report
         return session
@@ -374,15 +370,9 @@ class ExplainSession:
             max_order=config.max_order,
             deduplicate=config.deduplicate,
         )
-        started = time.perf_counter()
         cube, info = router.route(spec)
         if cube is not None:
-            session.adopt_snapshot(
-                None,
-                cube,
-                cache_hit=True,
-                prepare_seconds=time.perf_counter() - started,
-            )
+            session.adopt_snapshot(None, cube, cache_hit=True)
         elif source is not None:
             cache = (
                 RollupCache(config.cache_dir, max_entries=config.cache_max_entries)
@@ -405,7 +395,6 @@ class ExplainSession:
                 report.relation,
                 cube,
                 cache_hit=report.cache_hit if cache is not None else None,
-                prepare_seconds=time.perf_counter() - started,
             )
             session._ingest_report = report
             router.record_build(spec, cube)
@@ -503,7 +492,6 @@ class ExplainSession:
         with self._lock:
             if self._cube is not None:
                 return self
-            started = time.perf_counter()
             cube, hit = prepare_cube(
                 self.relation,
                 self._measure,
@@ -512,7 +500,6 @@ class ExplainSession:
                 self._time_attr,
                 self._config,
             )
-            self._prepare_seconds = time.perf_counter() - started
             if hit is not None:
                 self._cache_hit = hit
             self._cube = cube
@@ -588,9 +575,7 @@ class ExplainSession:
         new_relation = self.relation.concat(delta)
         info: AppendInfo | None = None
         if self._cube is not None and self._cube.appendable:
-            started = time.perf_counter()
             info = self._cube.append(delta)
-            self._prepare_seconds += time.perf_counter() - started
             if not info.is_noop:
                 self._series = None
                 if info.candidates_changed:
@@ -617,7 +602,6 @@ class ExplainSession:
         relation: Relation | None,
         cube: ExplanationCube,
         cache_hit: bool | None = True,
-        prepare_seconds: float = 0.0,
     ) -> None:
         """Replace the session's relation and prepared cube wholesale.
 
@@ -626,9 +610,8 @@ class ExplainSession:
         append log): instead of re-scattering every delta, the session
         jumps straight to the cached cube.  All derived scorers are
         dropped.  ``cache_hit`` defaults to ``True`` (the fast-forward
-        semantics); a cold build passes its real outcome instead, together
-        with the ``prepare_seconds`` it spent, so latency reporting stays
-        truthful.  ``relation=None`` keeps the current binding —
+        semantics); a cold build passes its real outcome instead.
+        ``relation=None`` keeps the current binding —
         :meth:`from_source` installs an out-of-core or cache-served cube
         this way without materializing the (lazy) relation.
         """
@@ -647,7 +630,6 @@ class ExplainSession:
             self._scorers.clear()
             self._series = None
             self._cache_hit = cache_hit
-            self._prepare_seconds = prepare_seconds
 
     # ------------------------------------------------------------------
     # Run tier
@@ -766,19 +748,12 @@ class ExplainSession:
                 config=config,
             )
         with self._lock:
-            started = time.perf_counter()
             scorer = self.scorer(start, stop, config)
-            derive_seconds = time.perf_counter() - started
-            # The cube build is charged to the first query that triggered
-            # it; later queries report only their own (slice/smooth/filter)
-            # cost.
-            build_seconds, self._prepare_seconds = self._prepare_seconds, 0.0
             return ExplainPipeline.from_scorer(
                 scorer,
                 config,
                 epsilon=self.cube.n_explanations,
                 cache_hit=self._cache_hit,
-                prepare_seconds=build_seconds + derive_seconds,
             )
 
     def explain(
@@ -799,10 +774,15 @@ class ExplainSession:
             One-off configuration override for this call (replaces, not
             merges with, the session config — the
             :class:`~repro.core.engine.TSExplain` contract).
+
+        The call is one ``explain`` span
+        (:func:`~repro.core.pipeline.explain_call`): a cube build or scorer
+        derivation it triggers is charged to its ``precomputation``.
         """
-        # The heavy solve/segment tiers run outside the session lock, on
-        # the immutable scorer the pipeline was seeded with.
-        result = self.pipeline(start, stop, config).run()
+        with explain_call() as timings:
+            # The heavy solve/segment tiers run outside the session lock,
+            # on the immutable scorer the pipeline was seeded with.
+            result = self.pipeline(start, stop, config)._run(timings)
         with self._lock:
             self._last_result = result
         return result
@@ -827,13 +807,7 @@ class ExplainSession:
         config = config or self._config
         if m is not None:
             config = config.updated(m=m)
-        # A diff reports no timings, so keep the cube-build cost charged
-        # to the next explain() instead of letting pipeline() consume it.
-        with self._lock:
-            self.prepare()
-            build_seconds = self._prepare_seconds
-            pipeline = self.pipeline(config=config)
-            self._prepare_seconds = build_seconds
+        pipeline = self.pipeline(config=config)
         scorer = pipeline.prepare()
         solver = pipeline.solver(scorer)
         series = scorer.cube.overall_series()

@@ -68,7 +68,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import select_scheme
+from repro.core.pipeline import explain_call, select_scheme
 from repro.core.result import ExplainResult
 from repro.core.session import ExplainSession
 from repro.cube.cache import (
@@ -83,6 +83,7 @@ from repro.cube.datacube import ExplanationCube
 from repro.cube.delta import AppendInfo
 from repro.diff.scorer import SegmentScorer
 from repro.exceptions import QueryError, SegmentationError
+from repro.obs.trace import span
 from repro.relation.table import Relation
 from repro.segmentation.variance import SegmentationCosts
 
@@ -214,6 +215,11 @@ class StreamingExplainer:
         would back-fill *new* timestamps into the past raises
         :class:`~repro.exceptions.QueryError` before any state changes.
         Rows within the delta may arrive in any order.
+
+        The call is one ``explain`` span
+        (:func:`~repro.core.pipeline.explain_call`), with the delta's
+        absorption in a ``cube-append`` span; an empty delta returns the
+        previous result untouched.
         """
         if self._result is None:
             self._relation = self._relation.concat(new_rows)
@@ -225,25 +231,21 @@ class StreamingExplainer:
             # chain would fork the fingerprint away from a replay that
             # never saw the empty tick), and no pipeline re-run is paid.
             return self._result
-        session = self.session()
-        info = self._apply_delta(session, new_rows)
-        self._relation = session.relation
+        with explain_call() as timings:
+            session = self.session()
+            with span("cube-append"):
+                info = self._apply_delta(session, new_rows)
+            self._relation = session.relation
 
-        pipeline = session.pipeline()
-        scorer = pipeline.prepare()
-        solver = pipeline.solver(scorer)
-        costs = self._grow_costs(scorer, solver, info)
-        scheme, k_was_auto, by_k = select_scheme(costs, self._config)
-        timings = {
-            # The session charged the cube append + scorer derivation to
-            # the pipeline's prepare tier; keep the breakdown truthful.
-            "precomputation": pipeline._prepare_seconds + costs.timings["precompute"],
-            "cascading": costs.timings["cascading"],
-            "segmentation": costs.timings["segmentation"],
-        }
-        self._result = pipeline._assemble(
-            scorer, costs, scheme, k_was_auto, by_k, timings, trust_costs=True
-        )
+            pipeline = session.pipeline()
+            with span("precompute"):
+                scorer = pipeline.prepare()
+                solver = pipeline.solver(scorer)
+            costs = self._grow_costs(scorer, solver, info)
+            scheme, k_was_auto, by_k = select_scheme(costs, self._config)
+            self._result = pipeline._assemble(
+                scorer, costs, scheme, k_was_auto, by_k, timings, trust_costs=True
+            )
         self._costs = costs
         return self._result
 

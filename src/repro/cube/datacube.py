@@ -162,9 +162,6 @@ class ExplanationCube:
         cube._excluded_buf = excluded
         return cube
 
-    # Backwards-compatible alias for the pre-cache private name.
-    _from_arrays = from_arrays
-
     @classmethod
     def from_append_state(cls, state: CubeAppendState) -> "ExplanationCube":
         """Assemble a (re-)finalized appendable cube from a delta ledger.

@@ -21,7 +21,6 @@ sees *which contributors moved* next to every flagged cell.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
@@ -117,15 +116,15 @@ class DetectSession:
         columns: Sequence[int] | np.ndarray | None = None,
     ) -> AnomalyReport:
         """Score the given columns (default: the whole time axis)."""
-        with span("detect-scan"), self._lock:
-            started = time.perf_counter()
-            report = score_columns(
-                self._session.cube,
-                self._baselines,
-                config or self._config,
-                columns=columns,
-            )
-            self._last_scan_seconds = time.perf_counter() - started
+        with self._lock:
+            with span("detect-scan") as scan:
+                report = score_columns(
+                    self._session.cube,
+                    self._baselines,
+                    config or self._config,
+                    columns=columns,
+                )
+            self._last_scan_seconds = scan.duration
             self._scans += 1
             self._cells_scored += report.cells_scored
             self._anomalies += len(report.cells)

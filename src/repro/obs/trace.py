@@ -16,13 +16,16 @@ Phases whose duration was measured elsewhere (the scheduler's queue
 wait, which elapses *before* the pool thread runs) are attached
 post-hoc with :func:`record_span`.
 
-Sampling is decided at the root: an unsampled trace still carries a
-trace id (so every response can return ``X-Repro-Trace-Id``) but its
-spans are dropped at entry, making ``span()`` in deep layers nearly
-free.  Sampled traces are serialized by :class:`JsonLinesExporter` as
-one JSON object per line, with size-based rotation (the current file
-plus one ``.1`` predecessor) so a long-running server cannot fill the
-disk with trace exports.
+Every span is measured, so the span tree is the one clock of a request:
+result timings are computed from it (:meth:`Trace.self_times`).  A span
+opened outside any trace roots a fresh trace of its own, which is never
+exported and ends with the span.  Sampling is decided at the root and
+decides only visibility: an unsampled trace still carries a trace id (so
+every response can return ``X-Repro-Trace-Id``) and records its spans,
+but it is neither exported nor seen by the profiler.  Sampled traces are
+serialized by :class:`JsonLinesExporter` as one JSON object per line,
+with size-based rotation (the current file plus one ``.1`` predecessor)
+so a long-running server cannot fill the disk with trace exports.
 
 Besides the contextvar (which only the *owning* context can read), the
 tracer maintains a process-wide **active-span map** — ``{thread id:
@@ -41,7 +44,6 @@ import json
 import os
 import threading
 import time
-import uuid
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator
@@ -111,7 +113,7 @@ class Trace:
     """A request-scoped span tree; append-safe from pool threads."""
 
     def __init__(self, name: str, sampled: bool = True):
-        self.trace_id = uuid.uuid4().hex[:16]
+        self.trace_id = os.urandom(8).hex()
         self.name = name
         self.sampled = sampled
         self.started_unix = time.time()
@@ -144,6 +146,27 @@ class Trace:
 
     def finish(self) -> None:
         self.root.duration = time.perf_counter() - self._started_perf
+
+    def self_times(self, top: Span) -> dict[str, float]:
+        """Self seconds per span name over the subtree rooted at ``top``.
+
+        A span's self time is its duration minus the durations of its
+        direct children, so the values sum to ``top``'s own duration.
+        Children recorded from other threads through a copied context
+        count like any other; a span still open is left out, which leaves
+        its time with its parent.  ``top`` must have ended.
+        """
+        with self._lock:
+            # A span's id is its list position, and descendants follow it.
+            spans = self.spans[top.span_id + 1 :]
+        names = {top.span_id: top.name}
+        totals = {top.name: top.duration}
+        for entry in spans:
+            if entry.parent_id in names and entry.duration is not None:
+                names[entry.span_id] = entry.name
+                totals[entry.name] = totals.get(entry.name, 0.0) + entry.duration
+                totals[names[entry.parent_id]] -= entry.duration
+        return totals
 
     @property
     def duration_seconds(self) -> float:
@@ -193,32 +216,36 @@ def start_trace(name: str, sampled: bool = True) -> Iterator[Trace]:
 
 
 @contextmanager
-def span(name: str) -> Iterator[Span | None]:
-    """Time a phase under the current trace; no-op without one.
+def span(name: str) -> Iterator[Span]:
+    """Time a phase under the current trace and yield its :class:`Span`.
 
-    Unsampled traces skip span bookkeeping entirely, so instrumented
-    deep layers cost two contextvar reads when tracing is off.
+    The span is always measured; only a sampled trace makes it visible
+    to the profiler.  Outside any trace the span is the root of a fresh
+    unsampled trace (never exported) that ends with it, so callers can
+    read ``duration`` after the block either way.
     """
     current = _CURRENT.get()
-    if current is None or not current[0].sampled:
-        yield None
+    if current is None:
+        with start_trace(name, sampled=False) as trace:
+            yield trace.root
         return
     trace, parent_id = current
     entry = trace.begin_span(name, parent_id)
     token = _CURRENT.set((trace, entry.span_id))
-    previous = _activate(trace, entry)
+    previous = _activate(trace, entry) if trace.sampled else None
     try:
         yield entry
     finally:
         trace.end_span(entry)
-        _deactivate(previous)
+        if trace.sampled:
+            _deactivate(previous)
         _CURRENT.reset(token)
 
 
 def record_span(name: str, seconds: float) -> Span | None:
-    """Attach an already-measured phase to the current trace."""
+    """Attach an already-measured phase to the current trace, if any."""
     current = _CURRENT.get()
-    if current is None or not current[0].sampled:
+    if current is None:
         return None
     trace, parent_id = current
     return trace.attach_span(name, seconds, parent_id)

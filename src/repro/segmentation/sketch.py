@@ -45,7 +45,6 @@ def select_sketch(
     variant: str = "tse",
     length_cap: int | None = None,
     size: int | None = None,
-    timings: dict[str, float] | None = None,
 ) -> np.ndarray:
     """Phase I: the sketch positions (original time positions, sorted).
 
@@ -71,9 +70,6 @@ def select_sketch(
         variant=variant,
         max_length=length_cap,
     )
-    if timings is not None:
-        for key, value in costs.timings.items():
-            timings[key] = timings.get(key, 0.0) + value
     schemes = solve_k_segmentation(costs.cost_matrix, k_max=size)
     feasible = [scheme for scheme in schemes if scheme.k == min(size, n_points - 1)]
     if not feasible:

@@ -25,7 +25,6 @@ underlying series.
 
 from __future__ import annotations
 
-import time
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -33,6 +32,7 @@ import numpy as np
 from repro.ca.cascade import TopMResult
 from repro.diff.scorer import SegmentScorer
 from repro.exceptions import SegmentationError
+from repro.obs import trace
 from repro.segmentation.distance import (
     ALLPAIR_VARIANTS,
     VARIANTS,
@@ -134,15 +134,8 @@ class SegmentationCosts:
         self._n_points = cut_positions.shape[0]
         self._n_units = n_times - 1
         self._weights = dcg_weights(m)
-        self.timings: dict[str, float] = {
-            "precompute": 0.0,
-            "cascading": 0.0,
-            "segmentation": 0.0,
-        }
-
-        started = time.perf_counter()
-        self._prepare_units()
-        self.timings["precompute"] += time.perf_counter() - started
+        with trace.span("unit-solve"):
+            self._prepare_units()
 
         self._results: dict[tuple[int, int], TopMResult] = {}
         self._cost = np.full((self._n_points, self._n_points), np.inf, dtype=np.float64)
@@ -297,11 +290,8 @@ class SegmentationCosts:
         grown._positions = cut_positions
         grown._n_points = cut_positions.shape[0]
         grown._n_units = n_times - 1
-        grown.timings = {"precompute": 0.0, "cascading": 0.0, "segmentation": 0.0}
-
-        started = time.perf_counter()
-        grown._extend_units(self, keep_units)
-        grown.timings["precompute"] += time.perf_counter() - started
+        with trace.span("unit-solve"):
+            grown._extend_units(self, keep_units)
 
         grown._results = {}
         grown._cost = np.full(
@@ -322,9 +312,7 @@ class SegmentationCosts:
         if starts.size:
             gamma_new, tau_new = self._scorer.gamma_tau_many(starts, stops)
             change_new = self._scorer.overall_changes(starts, stops)
-            ca_started = time.perf_counter()
-            solved = self._solver.solve_batch(gamma_new.T)
-            self.timings["cascading"] += time.perf_counter() - ca_started
+            solved = self._solve(gamma_new.T)
             new_results = [
                 result.with_context(
                     taus=tuple(int(tau_new[index, x]) for index in result.indices),
@@ -404,11 +392,7 @@ class SegmentationCosts:
         stops = starts + 1
         self._gamma_unit, self._tau_unit = self._scorer.gamma_tau_many(starts, stops)
         self._overall_change_unit = self._scorer.overall_changes(starts, stops)
-
-        ca_started = time.perf_counter()
-        unit_results = self._solver.solve_batch(self._gamma_unit.T)
-        self.timings["cascading"] += time.perf_counter() - ca_started
-
+        unit_results = self._solve(self._gamma_unit.T)
         self._unit_results = [
             result.with_context(
                 taus=tuple(
@@ -426,6 +410,11 @@ class SegmentationCosts:
     # ------------------------------------------------------------------
     # Segment solving helpers
     # ------------------------------------------------------------------
+    def _solve(self, gammas: np.ndarray) -> list[TopMResult]:
+        """One cascading-analysts batch: a ``ca-solve`` span."""
+        with trace.span("ca-solve"):
+            return self._solver.solve_batch(gammas)
+
     def _segment_pairs(self) -> list[tuple[int, int]]:
         """Reduced ``(i, j)`` pairs needing a cost, honouring constraints.
 
@@ -453,9 +442,7 @@ class SegmentationCosts:
     ) -> list[TopMResult]:
         """Solve top-m for segments given by original-position arrays."""
         gammas = self._scorer.gamma_many(starts, stops)
-        ca_started = time.perf_counter()
-        results = self._solver.solve_batch(gammas.T)
-        self.timings["cascading"] += time.perf_counter() - ca_started
+        results = self._solve(gammas.T)
         annotated = []
         for column, result in enumerate(results):
             # Effects are only reported for each segment's m winners, so
@@ -496,11 +483,9 @@ class SegmentationCosts:
             starts = self._positions[np.asarray([i for i, _ in block], dtype=np.intp)]
             stops = self._positions[np.asarray([j for _, j in block], dtype=np.intp)]
             results = self._solve_segments(starts, stops)
-            distance_started = time.perf_counter()
             for (i, j), result in zip(block, results):
                 self._results[(i, j)] = result
                 self._cost[i, j] = self._centroid_cost(i, j, result)
-            self.timings["segmentation"] += time.perf_counter() - distance_started
 
     def _centroid_cost(self, i: int, j: int, centroid: TopMResult) -> float:
         """``sum_x dist(object_x, centroid)`` over the covered unit objects."""
@@ -560,7 +545,6 @@ class SegmentationCosts:
     # All-pair variants (Eq. 10)
     # ------------------------------------------------------------------
     def _fill_costs_allpair(self) -> None:
-        distance_started = time.perf_counter()
         n_units = self._n_units
         # ndcg_pair[x, y] = NDCG(object_x, E*(object_y)) for all unit pairs.
         rel = self._gamma_unit[self._unit_idx]  # (n_units, m, n_units): [y, r, x]
@@ -597,7 +581,6 @@ class SegmentationCosts:
                 n_pairs = span * (span - 1) / 2.0
                 variance = (block / 2.0) / n_pairs
                 self._cost[i, j] = span * variance
-        self.timings["segmentation"] += time.perf_counter() - distance_started
 
     # ------------------------------------------------------------------
     def _combine(self, forward: np.ndarray, backward: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ actually runs:
 """
 
 from repro.serve.http import ServeApp, make_app, reuseport_available
-from repro.serve.multiproc import WorkerPool, prebuild_artifacts
+from repro.serve.multiproc import WorkerPool, prebuild_cache
 from repro.serve.registry import DatasetSpec, SessionRegistry
 from repro.serve.scheduler import QueryScheduler
 
@@ -36,6 +36,6 @@ __all__ = [
     "SessionRegistry",
     "WorkerPool",
     "make_app",
-    "prebuild_artifacts",
+    "prebuild_cache",
     "reuseport_available",
 ]

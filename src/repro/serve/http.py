@@ -70,7 +70,7 @@ from repro.obs.profile import (
     SlowProfileWriter,
     capture as capture_profile,
 )
-from repro.obs.trace import JsonLinesExporter, start_trace
+from repro.obs.trace import JsonLinesExporter, Trace, start_trace
 from repro.serve.jsonio import (
     detect_to_json,
     diff_to_json,
@@ -186,7 +186,6 @@ class _Handler(BaseHTTPRequestHandler):
         }
         # Captured here because dispatch pops it from its params dict.
         dataset = params.get("dataset")
-        started = time.perf_counter()
         with start_trace(parsed.path, sampled=app.sample_trace()) as trace:
             if not app.try_admit():
                 # Admission control: beyond max_inflight the server sheds
@@ -237,14 +236,12 @@ class _Handler(BaseHTTPRequestHandler):
                 # hand the last client a torn response.
                 app.maybe_trip()
         # Metrics / access log / slow-query log / trace export, after the
-        # trace root span is closed so exported phase durations always
-        # sum to within the recorded request latency.
+        # trace root span is closed: the request latency is its duration.
         app.observe_request(
             method=self.command,
             path=parsed.path,
             dataset=dataset,
             status=status,
-            seconds=time.perf_counter() - started,
             trace=trace,
         )
 
@@ -363,9 +360,9 @@ class ServeApp:
         ``obs_dir`` entries append to ``slowquery-<worker>.jsonl`` there,
         otherwise they go to stderr.
     trace_sample:
-        Fraction of requests whose span tree is recorded and exported
-        (``1.0`` = all).  Every request gets an ``X-Repro-Trace-Id``
-        regardless — sampling only controls span collection.
+        Fraction of requests whose span tree is exported and visible to
+        the profiler (``1.0`` = all).  Every request records its spans
+        and gets an ``X-Repro-Trace-Id`` regardless.
     obs_dir:
         Directory for observability artifacts: periodic metrics
         snapshots (merged by every worker's ``/metrics``), the trace
@@ -655,15 +652,15 @@ class ServeApp:
         path: str,
         dataset: str | None,
         status: int,
-        seconds: float,
-        trace,
+        trace: Trace,
     ) -> None:
         """Record one finished request: metrics, logs, trace export."""
         endpoint = path if path in _KNOWN_ENDPOINTS else "other"
+        seconds = trace.duration_seconds
         self._metric_requests.inc(endpoint=endpoint, status=str(status))
         self._metric_latency.observe(seconds, endpoint=endpoint)
         latency_ms = seconds * 1000.0
-        trace_id = trace.trace_id if trace is not None else None
+        trace_id = trace.trace_id
         if self.access_log is not None:
             self.access_log.log(
                 method, path, status, latency_ms, dataset=dataset, trace_id=trace_id
@@ -676,7 +673,7 @@ class ServeApp:
                 # Capture runs on its own daemon thread; at most one at a
                 # time, so a herd of slow queries yields one profile.
                 self._slow_profiles.maybe_capture(trace_id, path, latency_ms)
-        if self._trace_exporter is not None and trace is not None:
+        if self._trace_exporter is not None:
             try:
                 self._trace_exporter.export(trace)
             except OSError:  # pragma: no cover - disk-full etc.

@@ -68,14 +68,14 @@ def _worker_main(options: dict) -> None:
         app.shutdown()
 
 
-def prebuild_artifacts(
+def prebuild_cache(
     datasets: Sequence[str] | None, cache_dir: str, lattice: bool = False
 ) -> int:
     """Build and publish every dataset's cube once.
 
     Runs in the parent before forking: each cold build lands in
     ``cache_dir`` as a mmap-able cache entry, so every worker's first
-    request is an artifact hit (warm start, no per-worker build).  The
+    request adopts it (warm start, no per-worker build).  The
     parent's own sessions are dropped afterwards — it keeps serving
     nothing, so its resident set stays small.  Returns the number of
     datasets prepared.
@@ -175,7 +175,7 @@ class WorkerPool:
         )
         cache_dir = worker_options.get("cache_dir")
         if warm and cache_dir:
-            prebuild_artifacts(
+            prebuild_cache(
                 worker_options.get("datasets"),
                 cache_dir,
                 lattice=bool(worker_options.get("lattice", False)),

@@ -180,7 +180,7 @@ class RegistryStats:
     evictions: int = 0
     expirations: int = 0
     build_seconds: float = 0.0
-    artifact_hits: int = 0
+    adopt_hits: int = 0
 
     def as_dict(self) -> dict:
         return {
@@ -190,7 +190,7 @@ class RegistryStats:
             "evictions": self.evictions,
             "expirations": self.expirations,
             "build_seconds": self.build_seconds,
-            "artifact_hits": self.artifact_hits,
+            "adopt_hits": self.adopt_hits,
         }
 
 
@@ -212,7 +212,7 @@ class SessionRegistry:
         cold prepare of a non-lattice spec first adopts the dataset's
         entry there read-only and memory-mapped — N worker processes
         opening the same entry share one resident copy through the page
-        cache, and the warm start skips the build (``artifact_hits`` in
+        cache, and the warm start skips the build (``adopt_hits`` in
         :meth:`stats`).  On a miss the session builds and stores into it.
     clock:
         Injectable monotonic clock (tests pin TTL behaviour with it).
@@ -317,8 +317,9 @@ class SessionRegistry:
                         self._metric_lookups.inc(outcome="coalesced")
                     entry.queries += 1
                     return entry.session
-            with span("prepare"):
-                session, build_seconds = self._prepare(spec)
+            with span("prepare") as prepare:
+                session = self._prepare(spec)
+            build_seconds = prepare.duration
             self._metric_build_seconds.observe(build_seconds)
             with self._lock:
                 # register() may have replaced the spec while we built;
@@ -513,11 +514,10 @@ class SessionRegistry:
         self._entries.move_to_end(name)
         return entry
 
-    def _prepare(self, spec: DatasetSpec) -> tuple[ExplainSession, float]:
+    def _prepare(self, spec: DatasetSpec) -> ExplainSession:
         """Materialize and prepare a session (runs under the key lock only)."""
-        started = time.perf_counter()
         if spec.source is not None:
-            return self._prepare_from_source(spec, started)
+            return self._prepare_from_source(spec)
         dataset = spec.loader()
         config = spec.config if spec.config is not None else default_config_for(dataset)
         if self._cache_dir and not config.cache_dir:
@@ -528,7 +528,7 @@ class SessionRegistry:
                 dataset.relation.fingerprint(),
                 dataset.relation.schema.require_time(),
             )
-            session = ExplainSession.from_lattice(
+            return ExplainSession.from_lattice(
                 router,
                 relation=dataset.relation,
                 measure=dataset.measure,
@@ -536,7 +536,6 @@ class SessionRegistry:
                 aggregate=dataset.aggregate,
                 config=config,
             )
-            return session, time.perf_counter() - started
         session = ExplainSession(
             dataset.relation,
             measure=dataset.measure,
@@ -554,12 +553,11 @@ class SessionRegistry:
                 max_order=config.max_order,
                 deduplicate=config.deduplicate,
             ),
-            started,
         ):
             session.prepare()
-        return session, time.perf_counter() - started
+        return session
 
-    def _adopt(self, session: ExplainSession, key: CubeKey, started: float) -> bool:
+    def _adopt(self, session: ExplainSession, key: CubeKey) -> bool:
         """Install the memory-mapped cache entry of ``key``, if one exists.
 
         The adopted cube is a fixed snapshot whose series matrices are
@@ -567,23 +565,16 @@ class SessionRegistry:
         one page-cache copy, and the warm start skips the build entirely.
         A lazy (source-backed) session stays lazy.  ``False`` on a miss.
         """
-        with span("artifact-load"):
+        with span("cache-adopt"):
             cube = RollupCache(session.config.cache_dir).load(key, mmap=True)
         if cube is None:
             return False
-        session.adopt_snapshot(
-            None,
-            cube,
-            cache_hit=True,
-            prepare_seconds=time.perf_counter() - started,
-        )
+        session.adopt_snapshot(None, cube, cache_hit=True)
         with self._lock:
-            self._stats.artifact_hits += 1
+            self._stats.adopt_hits += 1
         return True
 
-    def _prepare_from_source(
-        self, spec: DatasetSpec, started: float
-    ) -> tuple[ExplainSession, float]:
+    def _prepare_from_source(self, spec: DatasetSpec) -> ExplainSession:
         """Cold-build a source-backed spec (source-keyed cache, out-of-core).
 
         The session's relation stays lazy: a warm cache serve never
@@ -599,13 +590,12 @@ class SessionRegistry:
             router = self._router_for(
                 lattice_fingerprint(source), source.schema.require_time()
             )
-            session = ExplainSession.from_lattice(
+            return ExplainSession.from_lattice(
                 router,
                 source=source,
                 explain_by=spec.explain_by,
                 config=config,
             )
-            return session, time.perf_counter() - started
         schema = source.schema
         measures = schema.measure_names()
         if not measures:
@@ -631,10 +621,9 @@ class SessionRegistry:
                 max_order=config.max_order,
                 deduplicate=config.deduplicate,
             )
-            if self._adopt(session, key, started):
-                return session, time.perf_counter() - started
-        session = ExplainSession.from_source(source, config=config, **query)
-        return session, time.perf_counter() - started
+            if self._adopt(session, key):
+                return session
+        return ExplainSession.from_source(source, config=config, **query)
 
     def _router_for(self, fingerprint: str, time_attr: str) -> LatticeRouter:
         """The shared lattice router of one data fingerprint (lazy).

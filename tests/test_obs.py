@@ -382,19 +382,27 @@ class TestTrace:
         assert all(s.duration is not None for s in trace.spans)
         assert build.duration <= prepare.duration <= trace.duration_seconds
 
-    def test_unsampled_trace_keeps_id_but_drops_spans(self):
+    def test_unsampled_trace_keeps_id_and_spans_but_is_not_exported(self, tmp_path):
         with start_trace("/explain", sampled=False) as trace:
             assert current_trace_id() == trace.trace_id
             with span("prepare") as entry:
-                assert entry is None
-            assert record_span("queue-wait", 0.1) is None
-        assert len(trace.spans) == 1  # just the root
+                pass
+            attached = record_span("queue-wait", 0.1)
+        assert [s.name for s in trace.spans] == ["/explain", "prepare", "queue-wait"]
+        assert entry.duration is not None and attached.duration == 0.1
         assert len(trace.trace_id) == 16
+        exporter = JsonLinesExporter(tmp_path / "traces.jsonl")
+        assert exporter.export(trace) is False
+        assert JsonLinesExporter.read(exporter.path) == []
 
-    def test_span_is_noop_without_a_trace(self):
+    def test_span_without_a_trace_is_measured_and_leaves_no_trace(self):
         assert current_trace() is None
         with span("orphan") as entry:
-            assert entry is None
+            fresh = current_trace()
+            assert entry is fresh.root and not fresh.sampled
+            time.sleep(0.001)
+        assert entry.duration >= 0.001
+        assert current_trace() is None
         assert record_span("orphan", 1.0) is None
 
     def test_record_span_attaches_premeasured_phase(self):
@@ -450,6 +458,68 @@ class TestTrace:
 
     def test_exporter_read_missing_file_is_empty(self, tmp_path):
         assert JsonLinesExporter.read(tmp_path / "absent.jsonl") == []
+
+
+class TestSelfTimes:
+    def test_a_parents_self_time_excludes_its_nested_child(self):
+        with start_trace("/x") as trace:
+            with span("outer") as outer:
+                with span("inner") as inner:
+                    time.sleep(0.002)
+                time.sleep(0.001)
+            with span("after"):
+                pass
+        times = trace.self_times(outer)
+        assert times == {
+            "outer": outer.duration - inner.duration,
+            "inner": inner.duration,
+        }
+
+    def test_sibling_spans_of_one_name_add_up(self):
+        with start_trace("/x") as trace:
+            with span("a") as first:
+                time.sleep(0.001)
+            with span("a") as second:
+                time.sleep(0.001)
+            with span("b") as third:
+                pass
+        times = trace.self_times(trace.root)
+        assert times["a"] == first.duration + second.duration
+        assert times["b"] == third.duration
+        assert sum(times.values()) == pytest.approx(trace.root.duration, rel=1e-9)
+
+    def test_a_child_in_a_pool_thread_is_charged_to_its_parent(self):
+        with start_trace("/x") as trace:
+            with span("query") as query:
+                context = contextvars.copy_context()
+
+                def work():
+                    with span("ca-solve"):
+                        time.sleep(0.002)
+
+                thread = threading.Thread(target=lambda: context.run(work))
+                thread.start()
+                thread.join(timeout=10.0)
+                assert not thread.is_alive()
+        (child,) = [s for s in trace.spans if s.name == "ca-solve"]
+        assert child.parent_id == query.span_id
+        assert trace.self_times(query) == {
+            "query": query.duration - child.duration,
+            "ca-solve": child.duration,
+        }
+
+    def test_a_roots_self_time_is_its_duration_minus_its_childrens(self):
+        with span("explain") as root:  # outside any trace: a fresh root
+            trace = current_trace()
+            with span("unit-solve") as first:
+                time.sleep(0.001)
+            with span("ca-solve") as second:
+                time.sleep(0.001)
+        assert trace.self_times(root) == {
+            "explain": root.duration - first.duration - second.duration,
+            "unit-solve": first.duration,
+            "ca-solve": second.duration,
+        }
 
 
 # ----------------------------------------------------------------------
@@ -550,7 +620,7 @@ class TestServeObservability:
             assert "prepare" in names
             # Cold prepare tried the memory-mapped cache entry, then built
             # the cube, under the prepare span.
-            assert {"artifact-load", "cube-build"} & names
+            assert {"cache-adopt", "cube-build"} & names
 
             # Direct children of the root partition the request's time:
             # their durations must sum to within the recorded latency.

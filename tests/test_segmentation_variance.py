@@ -164,10 +164,3 @@ def test_multi_attribute_costs_consistent():
         for x in range(0, 7)
     )
     assert costs.cost(0, 7) == pytest.approx(reference, abs=1e-9)
-
-
-def test_timings_populated(covid_like):
-    scorer, solver = covid_like
-    costs = SegmentationCosts(scorer, solver)
-    assert costs.timings["cascading"] >= 0.0
-    assert costs.timings["segmentation"] >= 0.0

@@ -211,9 +211,9 @@ class TestSessionRegistry:
             return registry, json.dumps(payload, sort_keys=True)
 
         first, first_body = serve_once()
-        assert first.stats()["artifact_hits"] == 0
+        assert first.stats()["adopt_hits"] == 0
         second, second_body = serve_once()
-        assert second.stats()["artifact_hits"] == 1
+        assert second.stats()["adopt_hits"] == 1
         session = second.session(name)
         assert isinstance(session.cube.included_values, np.memmap)
         if kind == "source":
@@ -778,13 +778,13 @@ def test_worker_pool_serves_identically_and_survives_worker_loss(tmp_path):
         assert list(Path(cache_dir).glob(f"*{CACHE_SUFFIX}"))
         # /stats lands on whichever worker the kernel picks per
         # connection; sample until we see the one that served /explain.
-        saw_artifact_hit = False
+        saw_adopt_hit = False
         for _ in range(20):
             stats = _get_json(f"{pool.url}/stats")
-            if stats["registry"]["artifact_hits"] >= 1:
-                saw_artifact_hit = True
+            if stats["registry"]["adopt_hits"] >= 1:
+                saw_adopt_hit = True
                 break
-        assert saw_artifact_hit
+        assert saw_adopt_hit
 
         pool.kill_worker(0)
         assert pool.n_alive == 1

@@ -9,6 +9,7 @@ from repro.core.pipeline import ExplainPipeline
 from repro.core.session import ExplainSession, window_relation
 from repro.core.streaming import StreamingExplainer
 from repro.exceptions import ConfigError, QueryError
+from repro.obs.trace import start_trace
 from repro.relation.predicates import Conjunction
 from tests.conftest import regime_relation, two_attr_relation
 
@@ -217,36 +218,27 @@ class TestSessionReuse:
             session.explain(start="not-a-label")
 
     def test_timings_charge_build_to_first_query_only(self, simple_relation):
-        # Assert the accounting ledger, not wall-clock inequalities: on a
-        # tiny relation the build takes ~1ms, so comparing the warm LRU
+        # Assert on the span tree, not wall-clock inequalities: on a tiny
+        # relation the build takes ~1ms, so comparing the warm LRU
         # lookup's wall time against it is scheduler-noise roulette.
         session = ExplainSession(
             simple_relation, "sales", ["cat"],
             config=ExplainConfig(use_filter=False, k=2),
         )
-        session.prepare()
-        build_seconds = session._prepare_seconds
-        assert build_seconds > 0.0
-        cold = session.explain("t004", "t020")
-        # The first query reports the build and drains the charge ledger...
-        assert cold.timings["precomputation"] >= build_seconds
-        assert session._prepare_seconds == 0.0
-        # ...so no later query can be charged the build again.
-        session.explain("t004", "t020")
-        assert session._prepare_seconds == 0.0
 
-    def test_diff_first_does_not_swallow_build_time(self, simple_relation):
-        # A diff reports no timings, so the cube build must stay charged
-        # to the first explain() that follows it.
-        session = ExplainSession(
-            simple_relation, "sales", ["cat"],
-            config=ExplainConfig(use_filter=False, k=2),
-        )
-        session.diff("t000", "t011")
-        build_seconds = session._prepare_seconds
-        assert build_seconds > 0.0
-        first_explain = session.explain()
-        assert first_explain.timings["precomputation"] >= build_seconds
+        def explain_self_times():
+            with start_trace("test") as trace:
+                result = session.explain("t004", "t020")
+            (call,) = [entry for entry in trace.spans if entry.name == "explain"]
+            return result, trace.self_times(call)
+
+        # The query that triggers the build reports it as precomputation...
+        cold, cold_spans = explain_self_times()
+        assert cold_spans["cube-build"] > 0.0
+        assert cold.timings["precomputation"] >= cold_spans["cube-build"]
+        # ...and no later query is charged a build.
+        _, warm_spans = explain_self_times()
+        assert "cube-build" not in warm_spans
 
     def test_rollup_cache_integration(self, simple_relation, tmp_path):
         config = ExplainConfig(use_filter=False, k=2, cache_dir=str(tmp_path))

@@ -68,10 +68,3 @@ def test_infeasible_sketch_parameters_rejected(parts):
     scorer, solver = parts
     with pytest.raises(SegmentationError):
         select_sketch(scorer, solver, length_cap=2, size=3)  # 3*2 < 39
-
-
-def test_timings_accumulated(parts):
-    scorer, solver = parts
-    sink: dict[str, float] = {}
-    select_sketch(scorer, solver, timings=sink)
-    assert set(sink) == {"precompute", "cascading", "segmentation"}
