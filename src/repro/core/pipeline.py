@@ -19,8 +19,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
-import numpy as np
-
 from repro.ca.cascade import CascadingAnalysts, DrillDownTree
 from repro.ca.guess_verify import GuessAndVerify
 from repro.core.config import ExplainConfig
@@ -321,9 +319,8 @@ class ExplainPipeline:
             raise SegmentationError("cannot explain a series with fewer than 2 points")
 
         with span("score"):
-            positions: np.ndarray | None = None
             if config.use_sketch and n_times >= 8:
-                positions = select_sketch(
+                positions, sketch_costs = select_sketch(
                     scorer,
                     solver,
                     m=config.m,
@@ -331,14 +328,14 @@ class ExplainPipeline:
                     length_cap=config.sketch_length,
                     size=config.sketch_size,
                 )
-
-            costs = SegmentationCosts(
-                scorer,
-                solver,
-                m=config.m,
-                variant=config.variant,
-                cut_positions=positions,
-            )
+                # Phase II: regrid phase I onto the sketch, so unit objects
+                # are solved once and phase-I costs between sketch points
+                # carry over.
+                costs = sketch_costs.extend(scorer, solver, cut_positions=positions)
+            else:
+                costs = SegmentationCosts(
+                    scorer, solver, m=config.m, variant=config.variant
+                )
 
         with span("segment"):
             scheme, k_was_auto, by_k = select_scheme(costs, config)
@@ -355,31 +352,12 @@ class ExplainPipeline:
         k_was_auto: bool,
         by_k: dict[int, SegmentationScheme],
         timings: dict[str, float],
-        trust_costs: bool = False,
     ) -> ExplainResult:
         series = scorer.cube.overall_series()
-        # When the scheme was found on a sketch, re-evaluate its variance at
-        # full resolution so quality numbers are comparable with vanilla
-        # runs (the Table 7 protocol).  ``trust_costs`` short-circuits that
-        # re-evaluation: a restricted *cut grid* (the streaming schedule)
-        # still measures every segment's variance over full-resolution unit
-        # objects, so its cost entries are already the Table 7 numbers.
-        full_resolution = trust_costs or costs.n_points == scorer.cube.n_times
-        original_boundaries = [int(costs.positions[b]) for b in scheme.boundaries]
-        if full_resolution:
-            total_variance = scheme.total_cost
-            per_segment = [
-                costs.variance(left, right) for left, right in scheme.segments()
-            ]
-        else:
-            solver = self.solver(scorer)
-            total_variance, per_segment = scheme_total_variance(
-                scorer,
-                solver,
-                original_boundaries,
-                m=self._config.m,
-                variant=self._config.variant,
-            )
+        # Every cost entry is measured over full-resolution unit objects on
+        # any cut grid (a sketch, the streaming schedule), so these are the
+        # Table 7 numbers a full-grid build would report.
+        total_variance, per_segment = scheme_total_variance(costs, scheme.boundaries)
         segments = []
         for (left, right), segment_variance in zip(scheme.segments(), per_segment):
             top = costs.segment_result(left, right)

@@ -31,12 +31,15 @@ Two re-segmentation schedules are available via ``resegment``:
     newly appended region — old regions may merge with new data but are
     not re-searched at full resolution.
 ``"full"``
-    Cut candidates are every point, exactly like a batch run.  Because
-    the appended cube, the extended costs and the shared scheme selection
-    are all bit-identical to their from-scratch counterparts, a ``full``
-    update returns **byte-identical results to** :meth:`refresh` **at a
-    fraction of the cost** (``benchmarks/bench_streaming_append.py``
-    asserts ≥ 10x on a warm stream).
+    Cut candidates are every point, exactly like an unsketched batch run.
+    Because the appended cube, the extended costs and the shared scheme
+    selection are all bit-identical to their from-scratch counterparts,
+    with :attr:`~repro.core.config.ExplainConfig.use_sketch` off a
+    ``full`` update returns **byte-identical results to** :meth:`refresh`
+    **at a fraction of the cost** (``benchmarks/bench_streaming_append.py``
+    asserts ≥ 10x on a warm stream).  With sketching on the two may
+    differ: an update still searches every point, while :meth:`refresh`
+    runs the batch pipeline, which searches a sketch.
 
 :meth:`refresh` remains the executable specification: it discards the
 session and re-runs the full batch pipeline over the current relation.
@@ -104,7 +107,8 @@ class StreamingExplainer:
         docstring.
     resegment:
         ``"pinned"`` (paper schedule: previous cuts + new points) or
-        ``"full"`` (all points; byte-identical to :meth:`refresh`).
+        ``"full"`` (all points; byte-identical to :meth:`refresh` when
+        ``config.use_sketch`` is off).
     """
 
     def __init__(
@@ -244,7 +248,7 @@ class StreamingExplainer:
             costs = self._grow_costs(scorer, solver, info)
             scheme, k_was_auto, by_k = select_scheme(costs, self._config)
             self._result = pipeline._assemble(
-                scorer, costs, scheme, k_was_auto, by_k, timings, trust_costs=True
+                scorer, costs, scheme, k_was_auto, by_k, timings
             )
         self._costs = costs
         return self._result

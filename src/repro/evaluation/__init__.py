@@ -11,7 +11,6 @@ from repro.evaluation.rank import (
     DEFAULT_SAMPLES,
     ground_truth_rank,
     relative_metric_ranks,
-    scheme_cost,
     variance_design_ranks,
 )
 
@@ -23,7 +22,6 @@ __all__ = [
     "distance_percent",
     "ground_truth_rank",
     "relative_metric_ranks",
-    "scheme_cost",
     "time_baseline",
     "time_tsexplain",
     "variance_design_ranks",

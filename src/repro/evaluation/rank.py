@@ -27,11 +27,6 @@ from repro.segmentation.variance import SegmentationCosts
 DEFAULT_SAMPLES = 10_000
 
 
-def scheme_cost(costs: SegmentationCosts, boundaries: Sequence[int]) -> float:
-    """Objective value of one scheme under a precomputed cost matrix."""
-    return costs.total_cost(boundaries)
-
-
 def ground_truth_rank(
     costs: SegmentationCosts,
     truth_boundaries: Sequence[int],

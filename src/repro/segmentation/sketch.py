@@ -4,8 +4,10 @@ Phase I selects a *sketch* — a small set of promising cutting positions —
 by running the normal pipeline under the constraint that every segment
 spans at most ``L`` original time steps, asking for ``|S|`` segments; the
 resulting boundaries are the sketch points.  Phase II (driven by the
-caller) re-runs the pipeline over the sketch points only, shrinking the
-quadratic/cubic terms from ``n`` to ``|S|``.
+caller) is :meth:`~repro.segmentation.variance.SegmentationCosts.extend`
+of phase I's costs onto the sketch: the quadratic/cubic terms shrink from
+``n`` to ``|S|``, while every unit object and every phase-I segment cost
+between two sketch points is reused rather than recomputed.
 
 Paper defaults: ``L = min(0.05 * n, 20)`` and ``|S| = 3n / L``.
 """
@@ -45,12 +47,14 @@ def select_sketch(
     variant: str = "tse",
     length_cap: int | None = None,
     size: int | None = None,
-) -> np.ndarray:
-    """Phase I: the sketch positions (original time positions, sorted).
+) -> tuple[np.ndarray, SegmentationCosts]:
+    """Phase I: the sketch positions and the costs they were chosen on.
 
     Runs K-segmentation with ``K = |S|`` under the max-segment-length
-    constraint ``L`` and returns the scheme's boundaries, which always
-    include both series endpoints.
+    constraint ``L``.  Returns ``(positions, costs)``: the scheme's
+    boundaries as original time positions (sorted, both series endpoints
+    included), and the phase-I :class:`SegmentationCosts` that phase II
+    regrids onto them.
     """
     n_points = scorer.cube.n_times
     default_length, default_size = default_sketch_parameters(n_points)
@@ -76,4 +80,4 @@ def select_sketch(
         # The largest feasible K under the constraint still yields a sketch.
         feasible = [schemes[-1]]
     boundaries = np.asarray(feasible[0].boundaries, dtype=np.intp)
-    return costs.positions[boundaries]
+    return costs.positions[boundaries], costs

@@ -20,7 +20,13 @@ still measured over **full-resolution unit objects** — the paper's phase-II
 complexity ``O(m * |S|^2 * n)`` carries the factor ``n`` for exactly this
 reason.  ``cut_positions`` therefore only restricts where segments may
 start and end; objects are always the consecutive point pairs of the
-underlying series.
+underlying series, and a segment's cost is the same number on every grid
+that has both its endpoints.
+
+That is what makes regridding cheap: :meth:`SegmentationCosts.extend`
+onto the *same* series (``first_changed_position`` defaults to "nothing
+changed") keeps every unit object and carries every cost whose endpoints
+are on the new grid.  Sketch phase II is exactly that regrid of phase I.
 """
 
 from __future__ import annotations
@@ -73,11 +79,6 @@ class SegmentationCosts:
     max_length:
         When given, only segments spanning at most this many original time
         steps get a finite cost — the phase-I constraint of sketching.
-    segments:
-        When given, costs are computed only for these reduced ``(i, j)``
-        pairs.  The resulting cost matrix is *not* suitable for the DP —
-        this mode exists for evaluating a fixed scheme (Table 7) and for
-        targeted queries.
     """
 
     def __init__(
@@ -88,7 +89,6 @@ class SegmentationCosts:
         variant: str = "tse",
         cut_positions: Sequence[int] | np.ndarray | None = None,
         max_length: int | None = None,
-        segments: Sequence[tuple[int, int]] | None = None,
     ):
         if variant not in VARIANTS:
             raise SegmentationError(
@@ -97,18 +97,7 @@ class SegmentationCosts:
         n_times = scorer.cube.n_times
         if n_times < 2:
             raise SegmentationError("need a series of at least two points")
-        if cut_positions is None:
-            cut_positions = np.arange(n_times, dtype=np.intp)
-        else:
-            cut_positions = np.asarray(cut_positions, dtype=np.intp)
-        if cut_positions.ndim != 1 or cut_positions.shape[0] < 2:
-            raise SegmentationError("cut_positions must be a 1-D array of >= 2 points")
-        if np.any(np.diff(cut_positions) <= 0):
-            raise SegmentationError("cut_positions must be strictly increasing")
-        if cut_positions[0] < 0 or cut_positions[-1] >= n_times:
-            raise SegmentationError(
-                f"cut_positions out of range for a series of length {n_times}"
-            )
+        cut_positions = _cut_grid(cut_positions, n_times)
         if max_length is not None and max_length < int(np.diff(cut_positions).max()):
             raise SegmentationError(
                 "max_length smaller than the widest gap between cut positions; "
@@ -126,24 +115,12 @@ class SegmentationCosts:
         self._variant = variant
         self._positions = cut_positions
         self._max_length = max_length
-        self._only_segments = (
-            None
-            if segments is None
-            else sorted({(int(i), int(j)) for i, j in segments})
-        )
         self._n_points = cut_positions.shape[0]
         self._n_units = n_times - 1
         self._weights = dcg_weights(m)
         with trace.span("unit-solve"):
             self._prepare_units()
-
-        self._results: dict[tuple[int, int], TopMResult] = {}
-        self._cost = np.full((self._n_points, self._n_points), np.inf, dtype=np.float64)
-        np.fill_diagonal(self._cost, 0.0)
-        if variant in ALLPAIR_VARIANTS:
-            self._fill_costs_allpair()
-        else:
-            self._fill_costs_centroid()
+        self._fill_costs()
 
     # ------------------------------------------------------------------
     # Public accessors
@@ -207,7 +184,8 @@ class SegmentationCosts:
         return self._unit_results[index]
 
     # ------------------------------------------------------------------
-    # Incremental growth (streaming appends; paper section 8)
+    # Regridding and incremental growth (sketch phase II; streaming
+    # appends, paper section 8)
     # ------------------------------------------------------------------
     def extend(
         self,
@@ -216,8 +194,10 @@ class SegmentationCosts:
         cut_positions: Sequence[int] | np.ndarray | None = None,
         first_changed_position: int | None = None,
     ) -> "SegmentationCosts":
-        """A new :class:`SegmentationCosts` over a *grown* series, reusing
-        this instance's work for the unchanged prefix.
+        """A new :class:`SegmentationCosts` on the cut grid
+        ``cut_positions`` (default: every point) over the same or a
+        *grown* series, reusing this instance's work for the unchanged
+        prefix.
 
         ``scorer`` must score the same candidate set over a series at
         least as long as this instance's; ``first_changed_position`` is
@@ -225,7 +205,10 @@ class SegmentationCosts:
         series this instance was built on
         (:attr:`repro.cube.delta.AppendInfo.first_changed_position`,
         minus the smoothing half-window when the scorer smooths).  It
-        defaults to the old length — a pure extension.
+        defaults to the old length, meaning nothing changed: a pure
+        extension, or on the same series a pure regrid — sketch phase II
+        regrids phase I's ``max_length`` instance onto the sketch this
+        way.  The result has no ``max_length``.
 
         Two classes of work are reused instead of recomputed:
 
@@ -272,73 +255,15 @@ class SegmentationCosts:
         grown._m = self._m
         grown._variant = self._variant
         grown._max_length = None
-        grown._only_segments = None
         grown._weights = self._weights
         n_times = new_cube.n_times
-        if cut_positions is None:
-            cut_positions = np.arange(n_times, dtype=np.intp)
-        else:
-            cut_positions = np.asarray(cut_positions, dtype=np.intp)
-        if cut_positions.ndim != 1 or cut_positions.shape[0] < 2:
-            raise SegmentationError("cut_positions must be a 1-D array of >= 2 points")
-        if np.any(np.diff(cut_positions) <= 0):
-            raise SegmentationError("cut_positions must be strictly increasing")
-        if cut_positions[0] < 0 or cut_positions[-1] >= n_times:
-            raise SegmentationError(
-                f"cut_positions out of range for a series of length {n_times}"
-            )
-        grown._positions = cut_positions
-        grown._n_points = cut_positions.shape[0]
+        grown._positions = _cut_grid(cut_positions, n_times)
+        grown._n_points = grown._positions.shape[0]
         grown._n_units = n_times - 1
         with trace.span("unit-solve"):
-            grown._extend_units(self, keep_units)
-
-        grown._results = {}
-        grown._cost = np.full(
-            (grown._n_points, grown._n_points), np.inf, dtype=np.float64
-        )
-        np.fill_diagonal(grown._cost, 0.0)
-        if self._variant in ALLPAIR_VARIANTS:
-            grown._fill_costs_allpair()
-        else:
-            carried = self._carry_costs(grown, first_changed_position)
-            grown._fill_costs_centroid(skip=carried)
+            grown._prepare_units(self, keep_units)
+        grown._fill_costs(self, first_changed_position)
         return grown
-
-    def _extend_units(self, previous: "SegmentationCosts", keep_units: int) -> None:
-        """Unit structures for a grown series, reusing a valid prefix."""
-        starts = np.arange(keep_units, self._n_units, dtype=np.intp)
-        stops = starts + 1
-        if starts.size:
-            gamma_new, tau_new = self._scorer.gamma_tau_many(starts, stops)
-            change_new = self._scorer.overall_changes(starts, stops)
-            solved = self._solve(gamma_new.T)
-            new_results = [
-                result.with_context(
-                    taus=tuple(int(tau_new[index, x]) for index in result.indices),
-                    source_segment=(int(starts[x]), int(stops[x])),
-                )
-                for x, result in enumerate(solved)
-            ]
-        else:
-            gamma_new = np.empty((self._scorer.cube.n_explanations, 0))
-            tau_new = np.empty((self._scorer.cube.n_explanations, 0), dtype=np.int8)
-            change_new = np.empty(0)
-            new_results = []
-        self._gamma_unit = np.concatenate(
-            [previous._gamma_unit[:, :keep_units], gamma_new], axis=1
-        )
-        self._tau_unit = np.concatenate(
-            [previous._tau_unit[:, :keep_units], tau_new], axis=1
-        )
-        self._overall_change_unit = np.concatenate(
-            [previous._overall_change_unit[:keep_units], change_new]
-        )
-        self._unit_results = previous._unit_results[:keep_units] + new_results
-        self._unit_idx, self._unit_gamma, self._unit_tau, self._unit_valid = pad_results(
-            self._unit_results, self._m
-        )
-        self._ideal_unit = self._unit_gamma @ self._weights
 
     def _carry_costs(
         self, grown: "SegmentationCosts", first_changed_position: int
@@ -385,27 +310,53 @@ class SegmentationCosts:
         return result
 
     # ------------------------------------------------------------------
-    # Unit-object preparation (always full resolution)
+    # Unit objects (always full resolution) and the cost matrix
     # ------------------------------------------------------------------
-    def _prepare_units(self) -> None:
-        starts = np.arange(self._n_units, dtype=np.intp)
+    def _prepare_units(
+        self, previous: "SegmentationCosts | None" = None, keep_units: int = 0
+    ) -> None:
+        """Unit structures: the first ``keep_units`` are ``previous``'s,
+        the rest are scored and solved here."""
+        starts = np.arange(keep_units, self._n_units, dtype=np.intp)
         stops = starts + 1
-        self._gamma_unit, self._tau_unit = self._scorer.gamma_tau_many(starts, stops)
-        self._overall_change_unit = self._scorer.overall_changes(starts, stops)
-        unit_results = self._solve(self._gamma_unit.T)
-        self._unit_results = [
-            result.with_context(
-                taus=tuple(
-                    int(self._tau_unit[index, x]) for index in result.indices
-                ),
-                source_segment=(int(starts[x]), int(stops[x])),
-            )
-            for x, result in enumerate(unit_results)
-        ]
+        n_explanations = self._scorer.cube.n_explanations
+        gamma = np.empty((n_explanations, 0))
+        tau = np.empty((n_explanations, 0), dtype=np.int8)
+        results: list[TopMResult] = []
+        if starts.size:
+            gamma, tau = self._scorer.gamma_tau_many(starts, stops)
+            results = [
+                result.with_context(
+                    taus=tuple(int(tau[index, x]) for index in result.indices),
+                    source_segment=(int(starts[x]), int(stops[x])),
+                )
+                for x, result in enumerate(self._solve(gamma.T))
+            ]
+        if previous is not None:
+            gamma = np.concatenate([previous._gamma_unit[:, :keep_units], gamma], axis=1)
+            tau = np.concatenate([previous._tau_unit[:, :keep_units], tau], axis=1)
+            results = previous._unit_results[:keep_units] + results
+        self._gamma_unit, self._tau_unit, self._unit_results = gamma, tau, results
         self._unit_idx, self._unit_gamma, self._unit_tau, self._unit_valid = pad_results(
-            self._unit_results, self._m
+            results, self._m
         )
         self._ideal_unit = self._unit_gamma @ self._weights
+
+    def _fill_costs(
+        self, previous: "SegmentationCosts | None" = None, first_changed_position: int = 0
+    ) -> None:
+        """The cost matrix, with ``previous``'s still-valid costs carried
+        over (centroid variants; :meth:`_carry_costs`)."""
+        self._results: dict[tuple[int, int], TopMResult] = {}
+        self._cost = np.full((self._n_points, self._n_points), np.inf, dtype=np.float64)
+        np.fill_diagonal(self._cost, 0.0)
+        if self._variant in ALLPAIR_VARIANTS:
+            self._fill_costs_allpair()
+        elif previous is None:
+            self._fill_costs_centroid()
+        else:
+            carried = previous._carry_costs(self, first_changed_position)
+            self._fill_costs_centroid(skip=carried)
 
     # ------------------------------------------------------------------
     # Segment solving helpers
@@ -421,12 +372,6 @@ class SegmentationCosts:
         Pairs spanning exactly one unit object are excluded — their cost is
         0 by definition and their result is the unit's.
         """
-        if self._only_segments is not None:
-            return [
-                (i, j)
-                for i, j in self._only_segments
-                if self._positions[j] - self._positions[i] > 1
-            ]
         pairs: list[tuple[int, int]] = []
         for i in range(self._n_points - 1):
             for j in range(i + 1, self._n_points):
@@ -470,11 +415,9 @@ class SegmentationCosts:
             pairs = [pair for pair in pairs if pair not in skip]
         # Single-object segments cost 0 by definition: the object is its
         # own centroid.
-        for i in range(self._n_points - 1):
-            for j in range(i + 1, self._n_points):
-                if self._positions[j] - self._positions[i] == 1:
-                    self._cost[i, j] = 0.0
-                    self._results[(i, j)] = self._unit_results[int(self._positions[i])]
+        for i in np.flatnonzero(np.diff(self._positions) == 1).tolist():
+            self._cost[i, i + 1] = 0.0
+            self._results[(i, i + 1)] = self._unit_results[int(self._positions[i])]
 
         epsilon = max(self._scorer.cube.n_explanations, 1)
         chunk = int(np.clip(32_000_000 // (8 * epsilon), 64, 8192))
@@ -562,9 +505,6 @@ class SegmentationCosts:
         # 2-D prefix sums make every segment's pair total an O(1) lookup.
         prefix = np.zeros((n_units + 1, n_units + 1))
         prefix[1:, 1:] = np.cumsum(np.cumsum(pair_distance, axis=0), axis=1)
-        requested = (
-            None if self._only_segments is None else set(self._only_segments)
-        )
         for i in range(self._n_points - 1):
             for j in range(i + 1, self._n_points):
                 lo = int(self._positions[i])
@@ -572,8 +512,6 @@ class SegmentationCosts:
                 span = hi - lo
                 if self._max_length is not None and span > self._max_length:
                     break
-                if requested is not None and (i, j) not in requested and span > 1:
-                    continue
                 if span == 1:
                     self._cost[i, j] = 0.0
                     continue
@@ -600,24 +538,35 @@ class SegmentationCosts:
 
 
 def scheme_total_variance(
-    scorer: SegmentScorer,
-    solver: TopMSolver,
-    boundaries: Sequence[int],
-    m: int = 3,
-    variant: str = "tse",
+    costs: SegmentationCosts, boundaries: Sequence[int]
 ) -> tuple[float, list[float]]:
-    """Full-resolution objective of a fixed segmentation scheme.
+    """Objective and per-segment variances of a scheme, read off ``costs``.
 
-    ``boundaries`` are *original* time positions (endpoints included).
-    Only the scheme's own segments are scored, so this stays cheap even
-    when the scheme came from a sketch-restricted search — it is how the
-    optimization-quality comparison (Table 7) evaluates Vanilla and O1+O2
-    on equal footing.
+    ``boundaries`` are reduced cut-grid indices (endpoints included).
+    Every cost is measured over full-resolution unit objects whatever the
+    grid, so a scheme found on a sketch reads the numbers a full-grid
+    build would give it — how the optimization-quality comparison
+    (Table 7) evaluates Vanilla and O1+O2 on equal footing.
 
     Returns ``(total, per_segment_variances)``.
     """
-    pairs = list(zip(boundaries, boundaries[1:]))
-    costs = SegmentationCosts(scorer, solver, m=m, variant=variant, segments=pairs)
-    per_segment = [costs.variance(i, j) for i, j in pairs]
-    total = sum(costs.cost(i, j) for i, j in pairs)
-    return float(total), per_segment
+    pairs = zip(boundaries, boundaries[1:])
+    return costs.total_cost(boundaries), [costs.variance(i, j) for i, j in pairs]
+
+
+def _cut_grid(
+    cut_positions: Sequence[int] | np.ndarray | None, n_times: int
+) -> np.ndarray:
+    """The validated cut grid over ``n_times`` points (default: every point)."""
+    if cut_positions is None:
+        return np.arange(n_times, dtype=np.intp)
+    grid = np.asarray(cut_positions, dtype=np.intp)
+    if grid.ndim != 1 or grid.shape[0] < 2:
+        raise SegmentationError("cut_positions must be a 1-D array of >= 2 points")
+    if np.any(np.diff(grid) <= 0):
+        raise SegmentationError("cut_positions must be strictly increasing")
+    if grid[0] < 0 or grid[-1] >= n_times:
+        raise SegmentationError(
+            f"cut_positions out of range for a series of length {n_times}"
+        )
+    return grid

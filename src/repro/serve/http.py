@@ -192,6 +192,7 @@ class _Handler(BaseHTTPRequestHandler):
                 # load with an immediate 503 + Retry-After instead of
                 # queueing unboundedly behind the thread pool.
                 status = 503
+                app.count_response(parsed.path, status)
                 self._write_json(
                     {"error": "server is at capacity; retry shortly"},
                     503,
@@ -206,26 +207,26 @@ class _Handler(BaseHTTPRequestHandler):
                         except Exception as error:  # pragma: no cover
                             body = f"# metrics unavailable: {error}\n"
                             status = 500
-                        app.note_request()
-                        self._write_text(body, status, trace_id=trace.trace_id)
+                        write = self._write_text
                     elif parsed.path == "/debug/profile":
                         try:
                             body, status = app.render_profile(params), 200
                         except ReproError as error:
                             body, status = f"error: {error}\n", 400
-                        app.note_request()
-                        self._write_text(body, status, trace_id=trace.trace_id)
+                        write = self._write_text
                     else:
                         try:
-                            payload, status = app.dispatch(parsed.path, params)
+                            body, status = app.dispatch(parsed.path, params)
                         except ReproError as error:
-                            payload, status = {"error": str(error)}, 400
+                            body, status = {"error": str(error)}, 400
                         except Exception as error:  # pragma: no cover - 500
-                            payload, status = {"error": f"internal error: {error}"}, 500
-                        # Count before writing (a client that has read its
-                        # response must observe the updated counter).
-                        app.note_request()
-                        self._write_json(payload, status, trace_id=trace.trace_id)
+                            body, status = {"error": f"internal error: {error}"}, 500
+                        write = self._write_json
+                    # Count before writing (a client that has read its
+                    # response must observe the updated counters).
+                    app.note_request()
+                    app.count_response(parsed.path, status)
+                    write(body, status, trace_id=trace.trace_id)
                 finally:
                     # Released only after the body is fully written, so a
                     # drain that observes zero in-flight requests knows
@@ -235,7 +236,7 @@ class _Handler(BaseHTTPRequestHandler):
                 # written and released — shutting down mid-write would
                 # hand the last client a torn response.
                 app.maybe_trip()
-        # Metrics / access log / slow-query log / trace export, after the
+        # Latency / access log / slow-query log / trace export, after the
         # trace root span is closed: the request latency is its duration.
         app.observe_request(
             method=self.command,
@@ -617,9 +618,18 @@ class ServeApp:
         self._metric_inflight.dec()
 
     def note_request(self) -> None:
-        """Count one served request."""
+        """Count one served request toward ``max_requests``."""
         with self._requests_lock:
             self._requests += 1
+
+    def count_response(self, path: str, status: int) -> None:
+        """Count one response in ``repro_http_requests_total``.
+
+        Called before the body is written, shed 503s included: a client
+        that has read its response must find it in the next scrape.
+        """
+        endpoint = path if path in _KNOWN_ENDPOINTS else "other"
+        self._metric_requests.inc(endpoint=endpoint, status=str(status))
 
     def maybe_trip(self) -> None:
         """Stop serving once ``max_requests`` responses are out."""
@@ -654,10 +664,12 @@ class ServeApp:
         status: int,
         trace: Trace,
     ) -> None:
-        """Record one finished request: metrics, logs, trace export."""
+        """Record one finished request: latency, logs, trace export.
+
+        Its count is already in (:meth:`count_response`).
+        """
         endpoint = path if path in _KNOWN_ENDPOINTS else "other"
         seconds = trace.duration_seconds
-        self._metric_requests.inc(endpoint=endpoint, status=str(status))
         self._metric_latency.observe(seconds, endpoint=endpoint)
         latency_ms = seconds * 1000.0
         trace_id = trace.trace_id

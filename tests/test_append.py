@@ -300,16 +300,31 @@ class TestCostsExtend:
             assert left.indices == right.indices
             assert left.gammas == right.gammas
 
-    def test_extend_onto_a_restricted_grid(self):
-        cube = ExplanationCube(day_rows(range(16)), ["cat"], "m")
-        scorer, solver, costs = self._costs_for(cube)
-        cube.append(day_rows(range(16, 20)))
+    # "regrid" is sketch phase II: a same-series extend of a phase-I
+    # (max_length) instance onto a coarser grid.
+    @pytest.mark.parametrize(
+        "base_days, max_length, first_changed",
+        [(16, None, 16), (20, 5, None)],
+        ids=["appended", "regrid"],
+    )
+    def test_extend_onto_a_restricted_grid(self, base_days, max_length, first_changed):
+        cube = ExplanationCube(day_rows(range(base_days)), ["cat"], "m")
+        scorer = SegmentScorer(cube)
+        solver = CascadingAnalysts(DrillDownTree(cube.explanations), m=3)
+        costs = SegmentationCosts(scorer, solver, max_length=max_length)
+        if base_days < 20:
+            cube.append(day_rows(range(base_days, 20)))
         grid = np.asarray([0, 4, 9, 15, 16, 17, 18, 19], dtype=np.intp)
         extended = costs.extend(
-            scorer, solver, cut_positions=grid, first_changed_position=16
+            scorer, solver, cut_positions=grid, first_changed_position=first_changed
         )
         fresh = SegmentationCosts(scorer, solver, cut_positions=grid)
         assert extended.cost_matrix.tobytes() == fresh.cost_matrix.tobytes()
+        for start in range(grid.shape[0] - 1):
+            for stop in range(start + 1, grid.shape[0]):
+                assert extended.segment_result(start, stop) == fresh.segment_result(
+                    start, stop
+                )
 
 
 # ----------------------------------------------------------------------

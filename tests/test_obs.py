@@ -679,6 +679,40 @@ class TestServeObservability:
         finally:
             app.shutdown()
 
+    def test_a_request_is_counted_before_its_response_is_read(
+        self, tmp_path, fresh_registry
+    ):
+        """The after-write bookkeeping (latency, logs, trace export) is
+        held until the client's next scrape has returned: the request it
+        has already read must be counted in that scrape anyway."""
+        from repro.serve.http import make_app
+
+        app = make_app(
+            datasets=["covid-total"],
+            port=0,
+            cache_dir=str(tmp_path / "cache"),
+            access_log=False,
+            worker_id="t2",
+        ).start()
+        scraped = threading.Event()
+        observe = app.observe_request
+
+        def held_observe(**kwargs):
+            scraped.wait(timeout=30.0)
+            observe(**kwargs)
+
+        app.observe_request = held_observe
+        try:
+            with pytest.raises(urllib.error.HTTPError, match="404"):
+                _get_json(f"{app.url}/does-not-exist")
+            with urllib.request.urlopen(f"{app.url}/metrics") as response:
+                samples = parse_exposition(response.read().decode("utf-8"))
+            other_404 = ("repro_http_requests_total", (("endpoint", "other"), ("status", "404")))
+            assert samples.get(other_404) == 1
+        finally:
+            scraped.set()
+            app.shutdown()
+
     def test_trace_sampling_zero_still_returns_trace_ids(self, tmp_path, fresh_registry):
         from repro.serve.http import make_app
 

@@ -136,18 +136,12 @@ def test_total_cost_and_bounds(covid_like):
         costs.cost(5, 5)
 
 
-def test_segments_restriction(covid_like):
-    scorer, solver = covid_like
-    costs = SegmentationCosts(scorer, solver, segments=[(0, 12), (12, 23)])
-    assert np.isfinite(costs.cost(0, 12))
-    assert np.isinf(costs.cost(0, 23))  # not requested
-
-
 def test_scheme_total_variance_matches_full(covid_like):
     scorer, solver = covid_like
     full = SegmentationCosts(scorer, solver)
     boundaries = [0, 12, full.n_points - 1]
-    total, per_segment = scheme_total_variance(scorer, solver, boundaries)
+    scheme_grid = SegmentationCosts(scorer, solver, cut_positions=boundaries)
+    total, per_segment = scheme_total_variance(scheme_grid, [0, 1, 2])
     assert total == pytest.approx(full.total_cost(boundaries))
     assert len(per_segment) == 2
     assert per_segment[0] == pytest.approx(full.variance(0, 12))
