@@ -125,14 +125,14 @@ def bench_lattice_router(benchmark, tmp_path):
     cache.store(key, cubes[full_sum])
     assert cache.load(key) is not None
 
-    router = LatticeRouter.for_relation(relation)
+    router = LatticeRouter.for_source(relation)
     router.seed(cubes)
     hit_config = config.updated(cache_dir=str(tmp_path / "cache"))
 
     def routed_prepare():
         session = ExplainSession.from_lattice(
             router,
-            relation=relation,
+            relation,
             measure="revenue",
             explain_by=("product", "region"),
             config=config,

@@ -128,10 +128,9 @@ from typing import Sequence
 
 from repro import __version__
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import ExplainPipeline
 from repro.core.session import ExplainSession
 from repro.core.streaming import StreamingExplainer
-from repro.cube.cache import RollupCache, cube_key
+from repro.cube.cache import RollupCache
 from repro.datasets.base import Dataset
 from repro.datasets.registry import available_datasets, load_dataset
 from repro.exceptions import ReproError, SchemaError
@@ -395,13 +394,9 @@ def _lattice_explain(args: argparse.Namespace) -> int:
             "--lattice needs --cache-dir: the lattice lives in the rollup "
             "cache (prepare it with 'repro lattice build')"
         )
-    cache = RollupCache(args.cache_dir)
     if args.source:
-        source = _resolve_cli_source(args)
-        router = LatticeRouter.for_source(source, cache=cache)
-        session = ExplainSession.from_lattice(
-            router,
-            source=source,
+        data = _resolve_cli_source(args)
+        binding = dict(
             explain_by=_split_names(args.explain_by) or None,
             aggregate=args.aggregate,
             config=_build_config(args),
@@ -409,15 +404,15 @@ def _lattice_explain(args: argparse.Namespace) -> int:
         )
     else:
         dataset = _load_source(args)
-        router = LatticeRouter.for_relation(dataset.relation, cache=cache)
-        session = ExplainSession.from_lattice(
-            router,
-            relation=dataset.relation,
+        data = dataset.relation
+        binding = dict(
             measure=dataset.measure,
             explain_by=_explain_by(args, dataset),
             aggregate=dataset.aggregate,
             config=_build_config(args, dataset),
         )
+    router = LatticeRouter.for_source(data, cache=RollupCache(args.cache_dir))
+    session = ExplainSession.from_lattice(router, data, **binding)
     result = session.query().window(args.start, args.stop).run()
     _print_result(args, result)
     info = session.route_info
@@ -811,40 +806,31 @@ def _command_cache(args: argparse.Namespace) -> int:
     # action == "build": warm the cache for a query without running the
     # segmentation — exactly the prepare phase the next explain will skip.
     dataset = _load_source(args)
-    # Vanilla config: the stored artifact is the *raw* cube, so the
-    # reported epsilon matches what later (filtered or not) runs reuse.
-    # max_order is only overridden when given, so build and explain share
-    # the ExplainConfig default and prewarmed entries keep matching.
+    # The stored artifact is the *raw* cube, so the reported epsilon
+    # matches what later (filtered or not) runs reuse.  max_order is only
+    # overridden when given, so build and explain share the ExplainConfig
+    # default and prewarmed entries keep matching.
     overrides = {"cache_dir": args.cache_dir}
     if args.max_order is not None:
         overrides["max_order"] = args.max_order
     config = ExplainConfig.vanilla(**overrides)
-    explain_by = _explain_by(args, dataset)
-    pipeline = ExplainPipeline(
+    session = ExplainSession(
         dataset.relation,
         dataset.measure,
-        explain_by,
+        _explain_by(args, dataset),
         aggregate=dataset.aggregate,
         config=config,
-    )
-    scorer = pipeline.prepare()
-    stats = f"epsilon={scorer.cube.n_explanations} n={scorer.cube.n_times}"
-    if pipeline.cache_hit:
+    ).prepare()
+    stats = f"epsilon={session.cube.n_explanations} n={session.cube.n_times}"
+    if session.cache_hit:
         print(f"reused existing entry: {stats} under {cache.directory}")
         return 0
     # prepare() degrades store failures to an uncached build; a prewarm
     # command must not report success unless the entry really landed.
-    # Re-deriving the key here is safe because the CLI only ever passes
-    # registry aggregate names (strings), so load_or_build's off-registry
-    # bypass can never make this lookup disagree with the pipeline's.
-    key = cube_key(
-        dataset.relation,
-        dataset.measure,
-        explain_by,
-        aggregate=dataset.aggregate,
-        max_order=config.max_order,
-        deduplicate=config.deduplicate,
-    )
+    # The CLI only ever passes registry aggregate names (strings), so the
+    # off-registry cache bypass can never make this lookup disagree with
+    # the prepare's.
+    key = session.cube_key()
     if cache.load(key) is not None:  # round-trips, not merely exists
         print(f"built and stored: {stats} under {cache.directory}")
         return 0

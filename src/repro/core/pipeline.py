@@ -3,7 +3,8 @@
 (a) *Precomputation*: build the explanation cube columnar-ly (difference
 scores become O(1) lookups) — or load it from the persistent rollup cache
 when :attr:`~repro.core.config.ExplainConfig.cache_dir` is set — then
-apply smoothing and the support filter.
+apply smoothing and the support filter; a session does both
+(:class:`~repro.core.session.ExplainSession`).
 (b) *Cascading Analysts*: top-m non-overlapping explanations per segment,
 optionally through guess-and-verify (O1).
 (c) *K-Segmentation*: NDCG-based segment costs, the Eq. 11 dynamic program,
@@ -23,10 +24,8 @@ from repro.ca.cascade import CascadingAnalysts, DrillDownTree
 from repro.ca.guess_verify import GuessAndVerify
 from repro.core.config import ExplainConfig
 from repro.core.result import ExplainResult, SegmentExplanation
-from repro.core.smoothing import smooth_cube
-from repro.cube.cache import RollupCache, load_or_build
+from repro.cube.cache import RollupCache
 from repro.cube.datacube import ExplanationCube
-from repro.cube.filters import apply_support_filter
 from repro.diff.scorer import ScoredExplanation, SegmentScorer
 from repro.exceptions import SegmentationError
 from repro.obs.trace import current_trace, span
@@ -35,24 +34,29 @@ from repro.segmentation.dp import SegmentationScheme, solve_k_segmentation
 from repro.segmentation.kselect import elbow_point
 from repro.segmentation.sketch import select_sketch
 from repro.segmentation.variance import SegmentationCosts, scheme_total_variance
+from repro.store.base import DataSource
+from repro.store.ingest import IngestReport
+from repro.store.ingest import load_or_build_from_source as load_or_build
 
 
 def prepare_cube(
-    relation: Relation,
+    source: DataSource,
     measure: str,
     explain_by: Sequence[str],
     aggregate: str,
-    time_attr: str | None,
+    time_attr: str,
     config: ExplainConfig,
-) -> tuple[ExplanationCube, bool | None]:
-    """Build or cache-load the raw cube a query's prepare tier needs.
+    chunk_rows: int,
+) -> tuple[ExplanationCube, IngestReport]:
+    """Serve or build the raw cube of :meth:`ExplainSession.prepare
+    <repro.core.session.ExplainSession.prepare>`, its one caller.
 
-    The one place the cache construction and build arguments live —
-    :meth:`ExplainPipeline.prepare` and
-    :meth:`~repro.core.session.ExplainSession.prepare` both call it, so
-    session-served and pipeline-served cubes can never diverge.  Returns
-    ``(cube, cache_hit)`` with ``cache_hit=None`` when the config names no
-    ``cache_dir``.
+    With a ``cache_dir`` configured the cube is looked up in the rollup
+    cache first and stored there after a build; the build itself is one
+    :func:`~repro.store.ingest.scan_cubes_from_source`.  The call is one
+    ``cube-build`` span.  It lives here so the cache-or-build call is
+    looked up as ``repro.core.pipeline.load_or_build``, the name
+    ``perfbench``'s layer tracer times.
     """
     cache = (
         RollupCache(config.cache_dir, max_entries=config.cache_max_entries)
@@ -60,17 +64,17 @@ def prepare_cube(
         else None
     )
     with span("cube-build"):
-        cube, hit = load_or_build(
+        return load_or_build(
             cache,
-            relation,
+            source,
             explain_by,
             measure,
             aggregate=aggregate,
             time_attr=time_attr,
             max_order=config.max_order,
             deduplicate=config.deduplicate,
+            chunk_rows=chunk_rows,
         )
-    return cube, (hit if cache is not None else None)
 
 
 #: The Figure 15 module charged with each span's self time.  Every span
@@ -172,7 +176,6 @@ class ExplainPipeline:
         self._aggregate = aggregate
         self._time_attr = time_attr
         self._config = config or ExplainConfig()
-        self._cube: ExplanationCube | None = None
         self._scorer: SegmentScorer | None = None
         self._epsilon = 0
         self._filtered_epsilon = 0
@@ -216,7 +219,6 @@ class ExplainPipeline:
         pipeline._aggregate = cube.aggregate.name
         pipeline._time_attr = None
         pipeline._config = config or ExplainConfig()
-        pipeline._cube = cube
         pipeline._scorer = scorer
         pipeline._epsilon = cube.n_explanations if epsilon is None else epsilon
         pipeline._filtered_epsilon = cube.n_explanations
@@ -244,34 +246,29 @@ class ExplainPipeline:
     def prepare(self) -> SegmentScorer:
         """Build or cache-load the cube, then smooth, filter and wrap it.
 
-        Idempotent: repeated calls return the same scorer.  When the
-        config names a ``cache_dir``, the raw cube is looked up in the
-        :class:`~repro.cube.cache.RollupCache` first (see that module for
-        the invalidation contract) and stored there after a fresh build;
-        smoothing and the support filter always run on the loaded/built
-        cube because they depend on per-query configuration.
+        Idempotent: repeated calls return the same scorer.  A pipeline
+        built from a relation prepares through a one-off
+        :class:`~repro.core.session.ExplainSession`: its cube comes from
+        the session's one cache-or-build path (see
+        :mod:`repro.cube.cache` for the invalidation contract), and its
+        scorer is the session's derived scorer for the whole series.
         """
-        if self._scorer is not None:
-            return self._scorer
-        config = self._config
-        cube, hit = prepare_cube(
-            self._relation,
-            self._measure,
-            self._explain_by,
-            self._aggregate,
-            self._time_attr,
-            config,
-        )
-        if hit is not None:
-            self._cache_hit = hit
-        self._epsilon = cube.n_explanations
-        if config.smoothing_window is not None:
-            cube = smooth_cube(cube, config.smoothing_window)
-        if config.use_filter:
-            cube = apply_support_filter(cube, config.filter_ratio)
-        self._filtered_epsilon = cube.n_explanations
-        self._cube = cube
-        self._scorer = SegmentScorer(cube, config.metric)
+        if self._scorer is None:
+            # Imported here: the session module builds on this one.
+            from repro.core.session import ExplainSession
+
+            session = ExplainSession(
+                self._relation,
+                self._measure,
+                self._explain_by,
+                aggregate=self._aggregate,
+                time_attr=self._time_attr,
+                config=self._config,
+            )
+            self._scorer = session.scorer()
+            self._epsilon = session.cube.n_explanations
+            self._filtered_epsilon = self._scorer.cube.n_explanations
+            self._cache_hit = session.cache_hit
         return self._scorer
 
     # ------------------------------------------------------------------

@@ -3,9 +3,10 @@
 The paper's interactivity claim rests on its two-tier split: an expensive
 *prepare* phase (build the explanation cube) and a cheap *run* phase (every
 difference score is an O(1) array lookup).  :class:`ExplainSession` makes
-that split the shape of the public API — bind a relation and the cube
-parameters once, build or cache-load the cube once, then serve unlimited
-queries as **O(window) slices of the prepared arrays**:
+that split the shape of the public API — bind a relation (or a
+:mod:`repro.store` data source) and the cube parameters once, build or
+cache-load the cube once, then serve unlimited queries as **O(window)
+slices of the prepared arrays**:
 
     session = ExplainSession(relation, measure="cases", explain_by=["state"])
     session.explain()                                   # whole series
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Hashable, Sequence
+from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from repro.core.pipeline import ExplainPipeline, explain_call, prepare_cube
 from repro.core.recommend import AttributeScore, recommend_explain_by
 from repro.core.result import ExplainResult
 from repro.core.smoothing import smooth_cube
+from repro.cube.cache import CubeKey, cube_key
 from repro.cube.datacube import ExplanationCube
 from repro.cube.delta import AppendInfo
 from repro.cube.filters import apply_support_filter
@@ -48,10 +50,11 @@ from repro.obs.trace import span
 from repro.relation.groupby import aggregate_over_time
 from repro.relation.table import Relation
 from repro.relation.timeseries import TimeSeries
+from repro.store.base import DEFAULT_CHUNK_ROWS, DataSource, RelationSource
+from repro.store.uri import resolve_source
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lattice.router import LatticeRouter, RouteInfo
-    from repro.store.base import DataSource
     from repro.store.ingest import IngestReport
 
 #: Derived (sliced/smoothed/filtered) scorers kept per session by default.
@@ -113,21 +116,21 @@ class ExplainSession:
 
     Parameters
     ----------
-    relation:
-        The base relation ``R``; the session binds to it (and its cube)
-        for its whole lifetime.  A zero-argument callable returning the
-        relation is also accepted: the session then materializes it
-        lazily, on the first operation that actually needs rows —
-        :meth:`from_source` uses this so a cache-served or out-of-core
-        prepared session never ingests the relation at all.  Lazy
-        sessions must name ``explain_by`` and ``time_attr`` explicitly
-        (there is no schema to default from without materializing).
+    data:
+        The base relation ``R``, or a :class:`~repro.store.DataSource` /
+        source URI that yields it; the session binds to it (and its cube)
+        for its whole lifetime.  A source's relation stays lazy: it is
+        read on the first operation that actually needs rows, so a
+        cache-served or out-of-core prepared session may never ingest it
+        at all (:attr:`relation_loaded`).
     measure:
-        Measure attribute ``M`` of the aggregate query.
+        Measure attribute ``M`` of the aggregate query (defaults to the
+        data's first measure).
     explain_by:
         Explain-by attribute names ``A`` (defaults to every dimension).
     aggregate:
-        Aggregate function name (default ``sum``).
+        Aggregate function name (defaults to the source's
+        ``default_aggregate``: ``sum`` for a relation).
     time_attr:
         Time attribute ``T``; defaults to the schema's time attribute.
     config:
@@ -135,6 +138,10 @@ class ExplainSession:
         passed instead, as with :class:`~repro.core.engine.TSExplain`.
         ``cache_dir`` makes :meth:`prepare` load the cube from the
         persistent rollup cache when possible.
+    chunk_rows:
+        Rows per chunk when :meth:`prepare` builds from a chunk-safe
+        source (default ``DEFAULT_CHUNK_ROWS``); bounds the relation
+        residency of the build.
     scorer_cache_size:
         Derived scorers kept in the per-session LRU (default
         ``DEFAULT_SCORER_CACHE_SIZE``).  Each entry holds the smoothed/
@@ -149,12 +156,13 @@ class ExplainSession:
 
     def __init__(
         self,
-        relation: "Relation | Callable[[], Relation]",
-        measure: str,
+        data: Relation | DataSource | str,
+        measure: str | None = None,
         explain_by: Sequence[str] | None = None,
-        aggregate: str = "sum",
+        aggregate: str | None = None,
         time_attr: str | None = None,
         config: ExplainConfig | None = None,
+        chunk_rows: int | None = None,
         scorer_cache_size: int = DEFAULT_SCORER_CACHE_SIZE,
         **config_overrides,
     ):
@@ -166,24 +174,20 @@ class ExplainSession:
             raise QueryError(
                 f"scorer_cache_size must be >= 1, got {scorer_cache_size}"
             )
-        if callable(relation):
-            self._relation_thunk: Callable[[], Relation] | None = relation
-            self._relation: Relation | None = None
-            if explain_by is None or time_attr is None:
-                raise QueryError(
-                    "a lazily-materialized relation needs explicit "
-                    "explain_by and time_attr (no schema to default from)"
-                )
-        else:
-            self._relation_thunk = None
-            self._relation = relation
-            if explain_by is None:
-                explain_by = relation.schema.dimension_names()
+        source = resolve_source(data)
+        schema = source.schema
+        if measure is None:
+            measures = schema.measure_names()
+            if not measures:
+                raise QueryError(f"source {source.uri} binds no measure column")
+            measure = measures[0]
+        self._source = source
+        self._relation: Relation | None = data if isinstance(data, Relation) else None
         self._measure = measure
-        self._explain_by = tuple(explain_by)
-        self._aggregate = aggregate
-        assert self._relation is not None or time_attr is not None
-        self._time_attr = time_attr or self._relation.schema.require_time()
+        self._explain_by = tuple(explain_by) if explain_by else schema.dimension_names()
+        self._aggregate = aggregate or source.default_aggregate
+        self._time_attr = time_attr or schema.require_time()
+        self._chunk_rows = chunk_rows or DEFAULT_CHUNK_ROWS
         self._config = config
         self._cube: ExplanationCube | None = None
         self._series: TimeSeries | None = None
@@ -204,203 +208,70 @@ class ExplainSession:
         self._route_info: "RouteInfo | None" = None
 
     # ------------------------------------------------------------------
-    # Construction from data sources (repro.store)
+    # Prepared construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_source(
-        cls,
-        source: "DataSource | str",
-        measure: str | None = None,
-        explain_by: Sequence[str] | None = None,
-        aggregate: str | None = None,
-        time_attr: str | None = None,
-        config: ExplainConfig | None = None,
-        chunk_rows: int | None = None,
-        out_of_core: bool = True,
-        scorer_cache_size: int = DEFAULT_SCORER_CACHE_SIZE,
-        **config_overrides,
-    ) -> "ExplainSession":
+    def from_source(cls, source: DataSource | str, **kwargs) -> "ExplainSession":
         """A prepared session over a :mod:`repro.store` data source.
 
         ``source`` is a :class:`~repro.store.DataSource` or a source URI
-        (``csv:…`` / ``npz:…`` / ``sqlite:…``); query defaults come from
-        its binding (first measure, all dimensions, the URI's aggregate).
-        The prepare tier runs immediately, source-shaped:
-
-        * with a ``cache_dir`` configured, the rollup cache is checked
-          under the **source fingerprint** first — a hit installs the
-          stored cube without ingesting a single row;
-        * on a miss the cube is built **out-of-core**: chunks of
-          ``chunk_rows`` rows stream through the append ledger, so peak
-          relation residency stays bounded by the chunk size while the
-          result is bit-identical to an in-memory build (sources whose
-          chunk order violates the append contract degrade to one-shot).
+        (``csv:…`` / ``npz:…`` / ``sqlite:…``); keywords bind the session
+        as for the constructor, whose query defaults come from the
+        source's binding (first measure, all dimensions, the URI's
+        aggregate).  The prepare tier runs immediately (:meth:`prepare`):
+        with a ``cache_dir`` a warm entry installs without ingesting a
+        single row, and a miss is built **out-of-core** — chunks of
+        ``chunk_rows`` rows stream through the append ledger, bit-identical
+        to an in-memory build (a source whose chunk order violates the
+        append contract gets a one-shot read).
 
         The relation itself stays lazy: operations that need rows
         (:meth:`recommend`, :meth:`append`, prepare-tier config
-        overrides) materialize it via ``source.read()`` on first use —
-        check :attr:`relation_loaded`, and :attr:`ingest_report` for what
-        the prepare actually did.
+        overrides) read it on first use — check :attr:`relation_loaded`,
+        and :attr:`ingest_report` for what the prepare actually did.
         """
-        from repro.cube.cache import RollupCache
-        from repro.store.base import DEFAULT_CHUNK_ROWS
-        from repro.store.ingest import load_or_build_from_source
-        from repro.store.uri import resolve_source
-
-        source = resolve_source(source)
-        schema = source.schema
-        if measure is None:
-            measures = schema.measure_names()
-            if not measures:
-                raise QueryError(f"source {source.uri} binds no measure column")
-            measure = measures[0]
-        explain_by = tuple(explain_by) if explain_by else schema.dimension_names()
-        aggregate = aggregate or source.default_aggregate
-        time_attr = time_attr or schema.require_time()
-        session = cls(
-            source.read,
-            measure=measure,
-            explain_by=explain_by,
-            aggregate=aggregate,
-            time_attr=time_attr,
-            config=config,
-            scorer_cache_size=scorer_cache_size,
-            **config_overrides,
-        )
-        config = session.config
-        cache = (
-            RollupCache(config.cache_dir, max_entries=config.cache_max_entries)
-            if config.cache_dir
-            else None
-        )
-        cube, report = load_or_build_from_source(
-            cache,
-            source,
-            explain_by,
-            measure,
-            aggregate=aggregate,
-            time_attr=time_attr,
-            max_order=config.max_order,
-            deduplicate=config.deduplicate,
-            chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-            out_of_core=out_of_core,
-        )
-        session.adopt_snapshot(
-            # The one-shot fallback already paid for the full relation;
-            # adopt it rather than re-ingesting on the first recommend()/
-            # append().  Out-of-core and cache-hit prepares pass None and
-            # stay lazy.
-            report.relation,
-            cube,
-            cache_hit=report.cache_hit if cache is not None else None,
-        )
-        session._ingest_report = report
-        return session
+        return cls(source, **kwargs).prepare()
 
     @classmethod
     def from_lattice(
-        cls,
-        router: "LatticeRouter",
-        relation: Relation | None = None,
-        source: "DataSource | str | None" = None,
-        measure: str | None = None,
-        explain_by: Sequence[str] | None = None,
-        aggregate: str | None = None,
-        time_attr: str | None = None,
-        config: ExplainConfig | None = None,
-        chunk_rows: int | None = None,
-        out_of_core: bool = True,
-        scorer_cache_size: int = DEFAULT_SCORER_CACHE_SIZE,
-        **config_overrides,
+        cls, router: "LatticeRouter", data: Relation | DataSource | str, **kwargs
     ) -> "ExplainSession":
         """A session prepared through a lattice router instead of a build.
 
-        Exactly one of ``relation``/``source`` binds the data (the router
-        must be keyed by that data's fingerprint —
-        :meth:`~repro.lattice.router.LatticeRouter.for_relation` /
-        :meth:`~repro.lattice.router.LatticeRouter.for_source`).  The
-        session's cube request — ``(dims, measure, aggregate)`` plus the
-        config's cube-shaping knobs — is routed first: an exact or
-        derived rollup installs without touching the data.  Windows need
-        no routing at all: a rollup covers the full time axis and every
-        windowed query is an O(window) slice of it.  On a lattice miss
-        the classic build path runs (out-of-core for sources) and the
-        built cube is reported back to the router, which promotes shapes
-        that keep missing.  :attr:`route_info` records the decision.
+        ``data`` and the keywords bind the session as for the constructor;
+        the router must be keyed by that data
+        (:meth:`~repro.lattice.router.LatticeRouter.for_source`), or a
+        :class:`~repro.exceptions.QueryError` is raised.  The session's
+        cube request — ``(dims, measure, aggregate)`` plus the config's
+        cube-shaping knobs — is routed first: an exact or derived rollup
+        installs without touching the data.  Windows need no routing at
+        all: a rollup covers the full time axis and every windowed query
+        is an O(window) slice of it.  On a lattice miss the session
+        prepares as usual (:meth:`prepare`) and the built cube is reported
+        back to the router, which promotes shapes that keep missing.
+        :attr:`route_info` records the decision.
         """
-        from repro.cube.cache import RollupCache
         from repro.lattice.spec import RollupSpec
-        from repro.store.base import DEFAULT_CHUNK_ROWS
-        from repro.store.ingest import load_or_build_from_source
-        from repro.store.uri import resolve_source
 
-        if (relation is None) == (source is None):
+        session = cls(data, **kwargs)
+        if session.cube_key().fingerprint != router.fingerprint:
             raise QueryError(
-                "from_lattice needs exactly one of relation= or source="
+                f"the lattice router is keyed by {router.fingerprint!r}, "
+                "not by the data this session binds"
             )
-        if source is not None:
-            source = resolve_source(source)
-            schema = source.schema
-            aggregate = aggregate or source.default_aggregate
-        else:
-            schema = relation.schema
-            aggregate = aggregate or "sum"
-        if measure is None:
-            measures = schema.measure_names()
-            if not measures:
-                raise QueryError("the bound data has no measure column")
-            measure = measures[0]
-        explain_by = tuple(explain_by) if explain_by else schema.dimension_names()
-        time_attr = time_attr or schema.require_time()
-        session = cls(
-            relation if relation is not None else source.read,
-            measure=measure,
-            explain_by=explain_by,
-            aggregate=aggregate,
-            time_attr=time_attr,
-            config=config,
-            scorer_cache_size=scorer_cache_size,
-            **config_overrides,
-        )
         config = session.config
         spec = RollupSpec(
-            dims=explain_by,
-            measure=measure,
-            aggregate=aggregate,
+            dims=session.explain_by,
+            measure=session.measure,
+            aggregate=session.aggregate,
             max_order=config.max_order,
             deduplicate=config.deduplicate,
         )
         cube, info = router.route(spec)
         if cube is not None:
-            session.adopt_snapshot(None, cube, cache_hit=True)
-        elif source is not None:
-            cache = (
-                RollupCache(config.cache_dir, max_entries=config.cache_max_entries)
-                if config.cache_dir
-                else None
-            )
-            cube, report = load_or_build_from_source(
-                cache,
-                source,
-                explain_by,
-                measure,
-                aggregate=aggregate,
-                time_attr=time_attr,
-                max_order=config.max_order,
-                deduplicate=config.deduplicate,
-                chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-                out_of_core=out_of_core,
-            )
-            session.adopt_snapshot(
-                report.relation,
-                cube,
-                cache_hit=report.cache_hit if cache is not None else None,
-            )
-            session._ingest_report = report
-            router.record_build(spec, cube)
+            session.adopt_snapshot(None, cube)
         else:
-            session.prepare()
-            router.record_build(spec, session.cube)
+            router.record_build(spec, session.prepare().cube)
         session._route_info = info
         return session
 
@@ -411,7 +282,8 @@ class ExplainSession:
 
     @property
     def ingest_report(self) -> "IngestReport | None":
-        """How :meth:`from_source` prepared this session (else ``None``)."""
+        """What :meth:`prepare` did: a cache hit, or how the build read the
+        data (``None`` until it ran, and for an adopted or routed cube)."""
         return self._ingest_report
 
     # ------------------------------------------------------------------
@@ -423,22 +295,20 @@ class ExplainSession:
 
     @property
     def relation(self) -> Relation:
-        """The base relation, materializing a lazy one on first access."""
+        """The base relation, reading a lazy source's on first access."""
         with self._lock:
             if self._relation is None:
-                if self._relation_thunk is None:
-                    raise QueryError("session has no relation bound")
-                self._relation = self._relation_thunk()
+                self._relation = self._source.read()
             return self._relation
 
     @property
     def relation_loaded(self) -> bool:
         """Whether the base relation is materialized (never triggers IO).
 
-        ``False`` only for :meth:`from_source` sessions whose cube came
-        from the rollup cache or the out-of-core build and that have not
-        yet needed rows; consumers that merely *report* (the serving
-        tier's ``/datasets``) check this instead of forcing an ingest.
+        ``False`` only for sessions over a source whose cube came from the
+        rollup cache or the out-of-core build and that have not yet
+        needed rows; consumers that merely *report* (the serving tier's
+        ``/datasets``) check this instead of forcing an ingest.
         """
         with self._lock:
             return self._relation is not None
@@ -485,6 +355,14 @@ class ExplainSession:
     def prepare(self) -> "ExplainSession":
         """Build or cache-load the raw explanation cube (idempotent).
 
+        The one place a session gets its cube.  With a ``cache_dir``
+        configured the cube is looked up under :meth:`cube_key` first; on
+        a miss it is built by one
+        :func:`~repro.store.ingest.scan_cubes_from_source` over the bound
+        data (``chunk_rows`` rows at a time through the append ledger, or
+        one read for a relation or a chunk-unsafe source) and stored under
+        that key.  :attr:`ingest_report` keeps what happened.
+
         Called implicitly by the first query; call it explicitly to pay
         the expensive tier up front (e.g. before handing the session to an
         interactive loop).  Returns ``self`` for chaining.
@@ -492,18 +370,42 @@ class ExplainSession:
         with self._lock:
             if self._cube is not None:
                 return self
-            cube, hit = prepare_cube(
-                self.relation,
+            cube, report = prepare_cube(
+                self._source,
                 self._measure,
                 self._explain_by,
                 self._aggregate,
                 self._time_attr,
                 self._config,
+                self._chunk_rows,
             )
-            if hit is not None:
-                self._cache_hit = hit
+            if self._relation is None:
+                # A one-shot read already paid for the relation: keep it
+                # rather than reading it again on the first recommend().
+                self._relation = report.relation
             self._cube = cube
+            self._cache_hit = report.cache_hit if self._config.cache_dir else None
+            self._ingest_report = report
         return self
+
+    def cube_key(self) -> CubeKey:
+        """The rollup-cache key of this session's cube (no data is read).
+
+        The data component is the bound source's cache fingerprint: a
+        relation's content fingerprint, or ``src-`` plus a source's
+        fingerprint.  :meth:`prepare` looks the cube up and stores it
+        under this key; the serving tier adopts a memory-mapped entry by
+        it, and a stream anchors its chained snapshot keys on it.
+        """
+        return cube_key(
+            self._source,
+            self._measure,
+            self._explain_by,
+            aggregate=self._aggregate,
+            time_attr=self._time_attr,
+            max_order=self._config.max_order,
+            deduplicate=self._config.deduplicate,
+        )
 
     @property
     def cube(self) -> ExplanationCube:
@@ -595,25 +497,20 @@ class ExplainSession:
             self._series = None
             self._cache_hit = None
         self._relation = new_relation
+        self._source = RelationSource(new_relation)
         return info
 
-    def adopt_snapshot(
-        self,
-        relation: Relation | None,
-        cube: ExplanationCube,
-        cache_hit: bool | None = True,
-    ) -> None:
+    def adopt_snapshot(self, relation: Relation | None, cube: ExplanationCube) -> None:
         """Replace the session's relation and prepared cube wholesale.
 
         The streaming fast-forward path uses this when a later snapshot of
         the stream is already in the rollup cache (base fingerprint +
         append log): instead of re-scattering every delta, the session
         jumps straight to the cached cube.  All derived scorers are
-        dropped.  ``cache_hit`` defaults to ``True`` (the fast-forward
-        semantics); a cold build passes its real outcome instead.
-        ``relation=None`` keeps the current binding —
-        :meth:`from_source` installs an out-of-core or cache-served cube
-        this way without materializing the (lazy) relation.
+        dropped, and :attr:`cache_hit` reads ``True``.
+        ``relation=None`` keeps the current binding — a lattice route or
+        the serving tier's cache adopt installs a cube this way without
+        materializing a source's (lazy) relation.
         """
         if (
             cube.measure != self._measure
@@ -626,10 +523,11 @@ class ExplainSession:
         with self._lock:
             if relation is not None:
                 self._relation = relation
+                self._source = RelationSource(relation)
             self._cube = cube
             self._scorers.clear()
             self._series = None
-            self._cache_hit = cache_hit
+            self._cache_hit = True
 
     # ------------------------------------------------------------------
     # Run tier

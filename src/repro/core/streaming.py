@@ -80,7 +80,6 @@ from repro.cube.cache import (
     RollupCache,
     chain_fingerprint,
     chained_key,
-    cube_key,
 )
 from repro.cube.datacube import ExplanationCube
 from repro.cube.delta import AppendInfo
@@ -195,16 +194,7 @@ class StreamingExplainer:
         session = self.session()
         self._result = session.explain()
         if self._cache is not None:
-            config = session.config
-            self._base_key = cube_key(
-                self._relation,
-                self._measure,
-                self._explain_by,
-                aggregate=self._aggregate,
-                time_attr=self._time_attr,
-                max_order=config.max_order,
-                deduplicate=config.deduplicate,
-            )
+            self._base_key = session.cube_key()
             self._chain_fp = self._base_key.fingerprint
             self._log = AppendLog(self._cache.directory, self._base_key)
             self._updates = 0

@@ -15,7 +15,9 @@ A cached cube is served only when **all** components of its
 :class:`CubeKey` match:
 
 * ``fingerprint`` — SHA-256 of the relation's schema and cell contents
-  (:meth:`repro.relation.table.Relation.fingerprint`), so any data change
+  (:meth:`repro.relation.table.Relation.fingerprint`), or for a data
+  source its cheap source fingerprint under ``src-``
+  (:meth:`repro.store.DataSource.cache_fingerprint`), so any data change
   invalidates the entry;
 * ``measure``, ``explain_by`` (order-insensitive), ``aggregate``,
   ``time_attr``, ``max_order`` and ``deduplicate`` — the parameters that
@@ -27,7 +29,7 @@ key: the cache stores the raw rollup and the pipeline re-applies those
 cheap per-query transforms on load, so one cached build serves many
 configurations.  A corrupted, truncated or otherwise unreadable entry is
 treated as a miss and the cube is rebuilt (and re-stored) from the
-relation; stores are atomic (write to a temp file, then rename), so a
+data; stores are atomic (write to a temp file, then rename), so a
 crashed writer can never leave a half-written entry that poisons later
 runs.
 
@@ -79,18 +81,21 @@ import os
 import tempfile
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.cube.datacube import ExplanationCube
 from repro.cube.delta import CubeAppendState, SubsetLedger
-from repro.exceptions import AggregateError, QueryError
+from repro.exceptions import QueryError
 from repro.obs.metrics import get_registry as _get_metrics
 from repro.relation.aggregates import AggregateFunction, get_aggregate
 from repro.relation.predicates import Conjunction
 from repro.relation.schema import Attribute, AttributeKind, Schema
-from repro.relation.table import Relation
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.relation.table import Relation
+    from repro.store.base import DataSource
 
 
 def _requests_counter(name: str, help: str):
@@ -141,10 +146,9 @@ def cube_key_for_fingerprint(
 
     Normalizes the query parameters exactly like :func:`cube_key` (the
     aggregate resolves to its registry name, ``explain_by`` is sorted)
-    but takes the fingerprint as a string, so keys can be derived without
-    a materialized relation — :mod:`repro.store` keys out-of-core builds
-    by a *source* fingerprint (``src-…``), and the streaming chain keys
-    (:func:`chain_fingerprint`) live in the same namespace.
+    but takes the fingerprint as a string: the lattice keys its rollups
+    this way, and the streaming chain keys (:func:`chain_fingerprint`)
+    live in the same namespace.
     """
     if isinstance(aggregate, str):
         aggregate = get_aggregate(aggregate)
@@ -160,7 +164,7 @@ def cube_key_for_fingerprint(
 
 
 def cube_key(
-    relation: Relation,
+    data: Relation | DataSource | str,
     measure: str,
     explain_by: Sequence[str],
     aggregate: str | AggregateFunction = "sum",
@@ -168,20 +172,29 @@ def cube_key(
     max_order: int = 3,
     deduplicate: bool = True,
 ) -> CubeKey:
-    """The cache key a cube build over these inputs resolves to.
+    """The cache key a cube built from ``data`` resolves to.
 
-    Mirrors :class:`~repro.cube.datacube.ExplanationCube`'s parameter
+    ``data`` is a relation, a :class:`~repro.store.DataSource` or a source
+    URI.  The data component is its
+    :meth:`~repro.store.DataSource.cache_fingerprint`: a relation's content
+    fingerprint, or a source's cheap fingerprint under ``src-``, so a
+    source's key is derived without materializing it.  Mirrors
+    :class:`~repro.cube.datacube.ExplanationCube`'s parameter
     normalization: the aggregate is resolved to its registry name, the
     time attribute to the schema's time attribute, and ``explain_by`` is
     sorted (the cube sorts it too, so attribute order never splits the
     cache).
     """
+    # Imported here: repro.store's package init imports this module.
+    from repro.store.uri import resolve_source
+
+    source = resolve_source(data)
     return cube_key_for_fingerprint(
-        relation.fingerprint(),
+        source.cache_fingerprint(),
         measure,
         explain_by,
         aggregate=aggregate,
-        time_attr=time_attr or relation.schema.require_time(),
+        time_attr=time_attr or source.schema.require_time(),
         max_order=max_order,
         deduplicate=deduplicate,
     )
@@ -764,70 +777,3 @@ class AppendLog:
 def _read_header(data: "np.lib.npyio.NpzFile") -> dict:
     """Decode the JSON header member of an entry archive."""
     return json.loads(bytes(data["header"].tobytes()).decode("utf-8"))
-
-
-def load_or_build(
-    cache: RollupCache | None,
-    relation: Relation,
-    explain_by: Sequence[str],
-    measure: str,
-    aggregate: str | AggregateFunction = "sum",
-    time_attr: str | None = None,
-    max_order: int = 3,
-    deduplicate: bool = True,
-) -> tuple[ExplanationCube, bool]:
-    """Serve a cube from the cache, building and storing it on a miss.
-
-    Returns ``(cube, cache_hit)``.  With ``cache=None`` this is a plain
-    build (``cache_hit`` is ``False``); this is the one entry point the
-    pipeline, the streaming engine and the ``repro cache build`` CLI all
-    share.
-
-    Two classes of query quietly bypass the cache rather than failing or
-    mis-serving: custom :class:`AggregateFunction` instances that are not
-    the registry's own (the key stores only the aggregate *name*, so an
-    off-registry instance could collide with or shadow a registered one),
-    and cubes whose labels/values are not JSON scalars (``store`` would
-    reject them).  Both still build and return a correct cube — it just
-    is not persisted.
-    """
-    if cache is not None and not isinstance(aggregate, str):
-        try:
-            registered = get_aggregate(aggregate.name)
-        except AggregateError:
-            registered = None
-        if registered is not aggregate:
-            cache = None
-    key = None
-    if cache is not None:
-        key = cube_key(
-            relation,
-            measure,
-            explain_by,
-            aggregate=aggregate,
-            time_attr=time_attr,
-            max_order=max_order,
-            deduplicate=deduplicate,
-        )
-        cached = cache.load(key)
-        if cached is not None:
-            return cached, True
-    cube = ExplanationCube(
-        relation,
-        explain_by,
-        measure,
-        aggregate=aggregate,
-        time_attr=time_attr,
-        max_order=max_order,
-        deduplicate=deduplicate,
-    )
-    if cache is not None and key is not None:
-        try:
-            cache.store(key, cube)
-        except (TypeError, OSError):
-            # Non-JSON labels/values (e.g. datetime objects) make the query
-            # uncacheable; an unwritable/full cache directory makes it
-            # unpersistable.  Either way the built cube is correct and a
-            # cache problem is never a reason to fail the explain.
-            pass
-    return cube, False

@@ -167,7 +167,7 @@ class ExplanationCube:
         """Assemble a (re-)finalized appendable cube from a delta ledger.
 
         Used by the rollup cache to revive appendable cubes from disk and
-        by :func:`merge_cubes`; the candidate layout, supports and all
+        by the lattice's rollup derivation; the candidate layout, supports and all
         series arrays are derived from the ledger's states, exactly as a
         fresh build over the equivalent relation would produce them.
         """
@@ -521,61 +521,6 @@ class ExplanationCube:
             f"ExplanationCube(epsilon={self.n_explanations}, n={self.n_times}, "
             f"explain_by={list(self._explain_by)})"
         )
-
-
-def _require_appendable(cube: ExplanationCube) -> CubeAppendState:
-    """The cube's delta ledger, or a descriptive error when it has none."""
-    state = cube.append_state
-    if state is None:
-        raise ExplanationError(
-            "merge_cubes requires appendable cubes (built with "
-            "appendable=True, or cache-loaded with their delta ledger)"
-        )
-    return state
-
-
-def _check_same_query(left: CubeAppendState, right: CubeAppendState) -> None:
-    """Reject merging ledgers whose cube-shaping parameters differ."""
-    mismatched = [
-        field
-        for field, a, b in (
-            ("measure", left.measure, right.measure),
-            ("aggregate", left.aggregate.name, right.aggregate.name),
-            ("explain_by", left.explain_by, right.explain_by),
-            ("time_attr", left.time_attr, right.time_attr),
-            ("max_order", left.max_order, right.max_order),
-            ("deduplicate", left.deduplicate, right.deduplicate),
-        )
-        if a != b
-    ]
-    if mismatched:
-        raise ExplanationError(
-            f"cannot merge cubes built with different {mismatched}"
-        )
-
-
-def merge_cubes(base: ExplanationCube, other: ExplanationCube) -> ExplanationCube:
-    """Merge two appendable cubes built over the same query into a new one.
-
-    ``other``'s time labels must each already exist in ``base`` or sort
-    strictly after its last label (the streaming append contract); both
-    cubes must share measure, aggregate, explain-by set, ``max_order``,
-    ``deduplicate`` and schema.  Neither input is mutated.
-
-    The merged states combine with :meth:`AggregateFunction.merge`, so the
-    result is bit-identical to a one-shot build over the concatenated
-    relations whenever no ``(group, timestamp)`` bucket holds rows on both
-    sides (e.g. partitioned-by-time shards); buckets fed by both sides are
-    numerically equal up to float-addition reassociation.  For the exact
-    row-order-preserving path, use :meth:`ExplanationCube.append` with the
-    delta *relation* instead.
-    """
-    left = _require_appendable(base)
-    right = _require_appendable(other)
-    _check_same_query(left, right)
-    merged = left.clone()
-    merged.absorb(right)
-    return ExplanationCube.from_append_state(merged)
 
 
 def _materialize_series(

@@ -42,7 +42,7 @@ from typing import Hashable, Sequence, TYPE_CHECKING
 import numpy as np
 
 from repro.cube.explanations import CandidateSet, _group_rows, _python_value
-from repro.exceptions import BackfillError, QueryError, SchemaError
+from repro.exceptions import BackfillError, SchemaError
 from repro.relation.aggregates import AggregateFunction
 from repro.relation.predicates import Conjunction
 from repro.relation.schema import Schema
@@ -455,88 +455,3 @@ class CubeAppendState:
             first_changed_position=first_changed,
             candidates_changed=candidates_changed,
         )
-
-    # ------------------------------------------------------------------
-    def clone(self) -> "CubeAppendState":
-        """A deep, independent copy (used by :func:`merge_cubes`)."""
-        ledgers = []
-        for ledger in self.ledgers:
-            copy = SubsetLedger(
-                attrs=ledger.attrs,
-                state=ledger.state.copy(),
-                counts=ledger.counts.copy(),
-                values=[list(column) for column in ledger.values],
-                parents=[p.copy() for p in ledger.parents],
-                redundant=ledger.redundant.copy(),
-            )
-            copy.conjunctions = list(ledger.conjunctions)
-            copy.sorted_order = ledger.sorted_order.copy()
-            ledgers.append(copy)
-        return CubeAppendState(
-            schema=self.schema,
-            measure=self.measure,
-            explain_by=self.explain_by,
-            time_attr=self.time_attr,
-            max_order=self.max_order,
-            deduplicate=self.deduplicate,
-            aggregate=self.aggregate,
-            labels=self.labels,
-            overall=self.overall.copy(),
-            ledgers=ledgers,
-        )
-
-    def absorb(self, other: "CubeAppendState") -> None:
-        """Merge another ledger's states into this one (aggregate.merge).
-
-        ``other``'s time labels must each exist here or extend the axis
-        (the same contract as :meth:`apply_delta`).  Exact when no
-        ``(group, time)`` bucket holds rows on both sides; otherwise the
-        merged state equals the concatenated build up to float-addition
-        reassociation.
-        """
-        if other.schema != self.schema:
-            raise SchemaError("cannot merge cubes over different schemas")
-        other_n = other.n_times
-        position_map = np.empty(other_n, dtype=np.intp)
-        last = self.labels[-1] if self.labels else None
-        for position, label in enumerate(other.labels):
-            existing = self.label_pos.get(label)
-            if existing is None:
-                if last is not None and not label > last:
-                    raise QueryError(
-                        f"cannot merge: timestamp {label!r} would back-fill "
-                        f"before this cube's last timestamp {last!r}"
-                    )
-                existing = len(self.labels)
-                self.labels.append(label)
-                self.label_pos[label] = existing
-                last = label
-            position_map[position] = existing
-        n_times = self.n_times
-        aggregate = self.aggregate
-
-        self.overall = _grow_time(self.overall, n_times)
-        self.overall[:, position_map] = aggregate.merge(
-            self.overall[:, position_map], other.overall[:, :other_n]
-        )
-        for mine, theirs in zip(self.ledgers, other.ledgers):
-            mine.state = _grow_time(mine.state, n_times)
-            slot_of = mine.slot_index()
-            for other_slot in range(theirs.n_slots):
-                combo = theirs.combo(other_slot)
-                slot = slot_of.get(combo)
-                if slot is None:
-                    parent_slots = []
-                    for drop in range(mine.order if mine.order > 1 else 0):
-                        attrs = mine.attrs[:drop] + mine.attrs[drop + 1 :]
-                        parent = self.ledgers[self.ledger_index[attrs]]
-                        parent_combo = combo[:drop] + combo[drop + 1 :]
-                        parent_slots.append(parent.slot_index()[parent_combo])
-                    slot = mine.add_slots([combo], [parent_slots])
-                    mine.state = _grow_time(mine.state, n_times)
-                mine.counts[slot] += theirs.counts[other_slot]
-                mine.state[:, slot, position_map] = aggregate.merge(
-                    mine.state[:, slot, position_map],
-                    theirs.state[:, other_slot, :other_n],
-                )
-        self._recompute_redundancy()

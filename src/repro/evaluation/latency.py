@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -10,6 +9,7 @@ from repro.baselines.base import Segmenter, attach_explanations
 from repro.core.config import ExplainConfig
 from repro.core.session import ExplainSession
 from repro.datasets.base import Dataset
+from repro.obs.trace import span
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,10 @@ class BaselineLatency:
 def time_baseline(
     dataset: Dataset, segmenter: Segmenter, k: int, config: ExplainConfig | None = None
 ) -> BaselineLatency:
-    """Time a baseline segmentation plus the CA explanation step."""
+    """Time a baseline segmentation plus the CA explanation step.
+
+    Each phase is one span; its duration is the reported latency.
+    """
     config = config or ExplainConfig()
     session = ExplainSession(
         dataset.relation,
@@ -97,16 +100,13 @@ def time_baseline(
     scorer = pipeline.prepare()
     series = scorer.cube.overall_series()
 
-    started = time.perf_counter()
-    boundaries = segmenter.segment(series.values, k)
-    segmentation_seconds = time.perf_counter() - started
-
+    with span("baseline-segment") as segmentation:
+        boundaries = segmenter.segment(series.values, k)
     solver = pipeline.solver(scorer)
-    started = time.perf_counter()
-    attach_explanations(scorer, solver, boundaries)
-    explanation_seconds = time.perf_counter() - started
+    with span("baseline-explain") as explanation:
+        attach_explanations(scorer, solver, boundaries)
     return BaselineLatency(
         label=segmenter.name,
-        segmentation=segmentation_seconds,
-        explanation=explanation_seconds,
+        segmentation=segmentation.duration,
+        explanation=explanation.duration,
     )

@@ -20,7 +20,6 @@ bit-identity claims.
 from repro.lattice.build import (
     LatticeBuildReport,
     build_lattice,
-    lattice_fingerprint,
     plan_roots,
 )
 from repro.lattice.derive import (
@@ -55,7 +54,6 @@ __all__ = [
     "covering_aggregate",
     "default_lattice",
     "derive_rollup",
-    "lattice_fingerprint",
     "parse_rollup_spec",
     "plan_roots",
     "rollup_key",

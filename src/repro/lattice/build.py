@@ -7,11 +7,11 @@ Two stages:
    only when no finer root already covers it
    (:func:`repro.lattice.derive.can_derive`).  With the default lattice
    (full dims + singles, one aggregate) that is a single root.
-2. :func:`build_lattice` builds every root from **one scan** — chunked
-   through :func:`repro.store.ingest.scan_cubes_from_source` for data
-   sources (bounded residency), or directly over an in-memory relation —
-   then derives every non-root from its root's ledger without touching
-   the data again.
+2. :func:`build_lattice` builds every root from **one scan** of
+   :func:`repro.store.ingest.scan_cubes_from_source` — chunked for
+   chunk-safe sources (bounded residency), one read for an in-memory
+   relation — then derives every non-root from its root's ledger without
+   touching the data again.
 
 With a rollup cache, every cube is stored under its ordinary
 :class:`~repro.cube.cache.CubeKey` (fingerprint + spec) and the
@@ -22,7 +22,6 @@ another process — can answer from the prepared lattice cold.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,9 +31,11 @@ from repro.exceptions import QueryError
 from repro.lattice.derive import aggregate_components, can_derive, derive_rollup
 from repro.lattice.manifest import LatticeManifest
 from repro.lattice.spec import RollupSpec, rollup_key
+from repro.obs.trace import span
 from repro.relation.table import Relation
 from repro.store.base import DEFAULT_CHUNK_ROWS, DataSource
-from repro.store.ingest import SOURCE_KEY_PREFIX, scan_cubes_from_source
+from repro.store.ingest import scan_cubes_from_source
+from repro.store.uri import resolve_source
 
 
 def _coverage(spec: RollupSpec) -> tuple:
@@ -81,8 +82,9 @@ class LatticeBuildReport:
 
     ``built``/``derived`` partition the requested specs by how each cube
     came to exist; ``chunks``/``rows``/``out_of_core`` describe the single
-    scan (shared across all roots); ``stored`` counts the cache entries
-    (plus manifest) persisted.
+    scan (shared across all roots); ``build_seconds`` is the duration of
+    the ``lattice-build`` span around the scan and the derivations;
+    ``stored`` counts the cache entries (plus manifest) persisted.
     """
 
     fingerprint: str
@@ -96,26 +98,12 @@ class LatticeBuildReport:
     stored: int = 0
 
 
-def lattice_fingerprint(data: "Relation | DataSource") -> str:
-    """The data fingerprint a lattice over ``data`` is keyed by.
-
-    Sources use the cheap source fingerprint in the ``src-`` namespace
-    (the same key :func:`~repro.store.ingest.source_cube_key` uses, so a
-    lattice rollup and a classic source-keyed build of the same shape
-    share one cache entry); relations use the full content fingerprint.
-    """
-    if isinstance(data, DataSource):
-        return f"{SOURCE_KEY_PREFIX}{data.fingerprint()}"
-    return data.fingerprint()
-
-
 def build_lattice(
-    data: "Relation | DataSource | str",
+    data: Relation | DataSource | str,
     specs: Sequence[RollupSpec],
     cache: RollupCache | None = None,
     time_attr: str | None = None,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    out_of_core: bool = True,
 ) -> tuple[dict[RollupSpec, ExplanationCube], LatticeBuildReport]:
     """Materialize a rollup lattice; returns ``(cubes by spec, report)``.
 
@@ -123,23 +111,21 @@ def build_lattice(
     source URI.  Roots are built in one scan (chunk-safe sources stream
     through the append ledger with bounded residency), non-roots derive
     from their root's ledger, and — with a ``cache`` — every cube plus the
-    lattice manifest is persisted under the data fingerprint.
+    lattice manifest is persisted under the data's cache fingerprint
+    (:meth:`~repro.store.DataSource.cache_fingerprint`, the key a session
+    over the same data uses, so a lattice rollup and a session build of
+    the same shape share one cache entry).
     """
-    if isinstance(data, str):
-        from repro.store.uri import resolve_source
-
-        data = resolve_source(data)
+    source = resolve_source(data)
     if not specs:
         raise QueryError("build_lattice needs at least one rollup spec")
-    schema = data.schema
-    time_attr = time_attr or schema.require_time()
-    fingerprint = lattice_fingerprint(data)
+    time_attr = time_attr or source.schema.require_time()
+    fingerprint = source.cache_fingerprint()
     roots, derived_from = plan_roots(specs)
 
-    started = time.perf_counter()
-    if isinstance(data, DataSource):
+    with span("lattice-build") as build:
         root_cubes, scan = scan_cubes_from_source(
-            data,
+            source,
             [
                 {
                     "explain_by": root.dims,
@@ -152,30 +138,10 @@ def build_lattice(
             ],
             time_attr=time_attr,
             chunk_rows=chunk_rows,
-            out_of_core=out_of_core,
         )
-        chunks, rows, chunked = scan.chunks, scan.rows, scan.out_of_core
-    else:
-        if data.n_rows == 0:
-            raise QueryError("cannot build a lattice over an empty relation")
-        root_cubes = [
-            ExplanationCube(
-                data,
-                root.dims,
-                root.measure,
-                aggregate=root.aggregate,
-                time_attr=time_attr,
-                max_order=root.max_order,
-                deduplicate=root.deduplicate,
-                appendable=True,
-            )
-            for root in roots
-        ]
-        chunks, rows, chunked = 1, data.n_rows, False
-
-    cubes: dict[RollupSpec, ExplanationCube] = dict(zip(roots, root_cubes))
-    for spec, root in derived_from.items():
-        cubes[spec] = derive_rollup(cubes[root], spec)
+        cubes: dict[RollupSpec, ExplanationCube] = dict(zip(roots, root_cubes))
+        for spec, root in derived_from.items():
+            cubes[spec] = derive_rollup(cubes[root], spec)
 
     stored = 0
     if cache is not None:
@@ -200,10 +166,10 @@ def build_lattice(
         time_attr=time_attr,
         built=tuple(roots),
         derived=tuple(derived_from),
-        chunks=chunks,
-        rows=rows,
-        out_of_core=chunked,
-        build_seconds=time.perf_counter() - started,
+        chunks=scan.chunks,
+        rows=scan.rows,
+        out_of_core=scan.out_of_core,
+        build_seconds=build.duration,
         stored=stored,
     )
 

@@ -137,30 +137,23 @@ class LatticeRouter:
 
     # ------------------------------------------------------------------
     @classmethod
-    def for_relation(
-        cls, relation, cache: RollupCache | None = None, time_attr: str | None = None, **kwargs
-    ) -> "LatticeRouter":
-        """A router keyed by a relation's content fingerprint."""
-        from repro.lattice.build import lattice_fingerprint
-
-        return cls(
-            lattice_fingerprint(relation),
-            time_attr or relation.schema.require_time(),
-            cache=cache,
-            **kwargs,
-        )
-
-    @classmethod
     def for_source(
         cls, source, cache: RollupCache | None = None, time_attr: str | None = None, **kwargs
     ) -> "LatticeRouter":
-        """A router keyed by a data source's cheap ``src-…`` fingerprint."""
-        from repro.lattice.build import lattice_fingerprint
+        """A router keyed by the data's cache fingerprint.
+
+        ``source`` is a :class:`~repro.store.DataSource`, a source URI or a
+        relation; the router is keyed by
+        :meth:`~repro.store.DataSource.cache_fingerprint` (a relation's
+        content fingerprint, or a source's cheap ``src-…`` one), the
+        fingerprint :func:`~repro.lattice.build.build_lattice` keys the
+        lattice by.
+        """
         from repro.store.uri import resolve_source
 
         source = resolve_source(source)
         return cls(
-            lattice_fingerprint(source),
+            source.cache_fingerprint(),
             time_attr or source.schema.require_time(),
             cache=cache,
             **kwargs,

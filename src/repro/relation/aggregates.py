@@ -1,10 +1,10 @@
-"""Decomposable aggregate functions with mergeable / subtractable state.
+"""Decomposable aggregate functions with subtractable state.
 
 The precomputation module of TSExplain (paper section 5.2) relies on the
 aggregate ``f`` being *decomposable*: the aggregate of ``R - sigma_E R`` is
 derived from the states of ``R`` and ``sigma_E R`` instead of rescanning
 rows.  ``SUM``, ``COUNT``, ``AVG`` and ``VAR`` support full subtraction;
-``MIN``/``MAX`` are mergeable but not subtractable and raise
+``MIN``/``MAX`` are not subtractable and raise
 :class:`~repro.exceptions.AggregateError` when the cube needs exclusion.
 
 State layout
@@ -68,10 +68,6 @@ class AggregateFunction(abc.ABC):
         raise AggregateError(  # pragma: no cover - all registry aggregates override
             f"aggregate {self.name!r} does not support in-place scatter"
         )
-
-    def merge(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        """Combine two state arrays (default: additive)."""
-        return left + right
 
     def subtract(self, total: np.ndarray, part: np.ndarray) -> np.ndarray:
         """State of ``R - sigma_E R`` from the states of ``R`` and ``sigma_E R``."""
@@ -188,7 +184,7 @@ class Var(_AdditiveAggregate):
 
 
 class _ExtremeAggregate(AggregateFunction):
-    """Base for MIN/MAX: mergeable but not subtractable."""
+    """Base for MIN/MAX: not subtractable."""
 
     subtractable = False
     _ufunc: np.ufunc
@@ -212,9 +208,6 @@ class _ExtremeAggregate(AggregateFunction):
     ) -> None:
         values = np.asarray(values, dtype=np.float64)
         self._ufunc.at(state[0], index, values)
-
-    def merge(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return self._ufunc(left, right)
 
     def finalize(self, state: np.ndarray) -> np.ndarray:
         out = state[0].copy()

@@ -84,7 +84,6 @@ from repro.serve.scheduler import (
     QUERY_OVERRIDE_TYPES,
     QueryScheduler,
 )
-from repro.store import is_source_uri
 
 #: Query-string spellings that differ from the ExplainConfig field name.
 _QS_NAME = {"smoothing_window": "smoothing", "use_filter": "filter"}
@@ -920,12 +919,7 @@ def make_app(
     (:mod:`repro.obs.profile`).
     """
     names = tuple(datasets) if datasets is not None else available_datasets()
-    specs = [
-        DatasetSpec.from_source(name, lattice=lattice)
-        if is_source_uri(name)
-        else DatasetSpec.bundled(name, lattice=lattice)
-        for name in names
-    ]
+    specs = [DatasetSpec.for_name(name, lattice=lattice) for name in names]
     registry = SessionRegistry(
         specs=specs,
         memory_budget_bytes=memory_budget_bytes,

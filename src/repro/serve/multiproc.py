@@ -82,15 +82,9 @@ def prebuild_cache(
     """
     from repro.datasets.registry import available_datasets
     from repro.serve.registry import DatasetSpec, SessionRegistry
-    from repro.store import is_source_uri
 
     names = tuple(datasets) if datasets is not None else available_datasets()
-    specs = [
-        DatasetSpec.from_source(name, lattice=lattice)
-        if is_source_uri(name)
-        else DatasetSpec.bundled(name, lattice=lattice)
-        for name in names
-    ]
+    specs = [DatasetSpec.for_name(name, lattice=lattice) for name in names]
     registry = SessionRegistry(specs=specs, cache_dir=cache_dir)
     for name in names:
         registry.session(name)

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 from repro.core.config import ExplainConfig
 from repro.core.session import ExplainSession
-from repro.cube.cache import CubeKey, RollupCache, cube_key
+from repro.cube.cache import RollupCache
 from repro.datasets.base import Dataset
 from repro.datasets.registry import available_datasets, load_dataset
 from repro.detect.session import DetectSession
@@ -44,8 +44,7 @@ from repro.exceptions import QueryError
 from repro.lattice.router import LatticeRouter
 from repro.obs.metrics import BUILD_BUCKETS, get_registry as get_metrics
 from repro.obs.trace import span
-from repro.store import resolve_source
-from repro.store.ingest import source_cube_key
+from repro.store import DataSource, is_source_uri, resolve_source
 
 
 def default_config_for(dataset: Dataset) -> ExplainConfig:
@@ -71,15 +70,15 @@ class DatasetSpec:
     build (under the single-flight lock).  ``config`` overrides the
     serving default (:func:`default_config_for`); ``explain_by`` overrides
     the dataset's own attribute set.  ``source`` names a
-    :mod:`repro.store` URI instead: the cold build then goes through
-    :meth:`ExplainSession.from_source` — source-fingerprint cache lookup
-    first (a warm serve skips ingestion entirely), chunked out-of-core
-    build on a miss — and the relation stays unmaterialized until a
-    request (``/recommend``) actually needs rows.
+    :mod:`repro.store` URI instead of a loader: the session then binds the
+    source itself — source-fingerprint cache lookup first (a warm serve
+    skips ingestion entirely), chunked out-of-core build on a miss — and
+    the relation stays unmaterialized until a request (``/recommend``)
+    actually needs rows.
     """
 
     name: str
-    loader: Callable[[], Dataset]
+    loader: Callable[[], Dataset] | None = None
     config: ExplainConfig | None = None
     explain_by: tuple[str, ...] | None = None
     description: str = ""
@@ -88,6 +87,19 @@ class DatasetSpec:
     #: (:mod:`repro.lattice`): exact/derived rollups serve without a
     #: build, misses fall back and feed the promotion policy.
     lattice: bool = False
+
+    def __post_init__(self) -> None:
+        if (self.loader is None) == (self.source is None):
+            raise QueryError(
+                f"dataset spec {self.name!r} needs exactly one of loader= or source="
+            )
+
+    @classmethod
+    def for_name(cls, name: str, **kwargs) -> "DatasetSpec":
+        """The spec serving ``name``: a source URI, else a bundled dataset."""
+        if is_source_uri(name):
+            return cls.from_source(name, **kwargs)
+        return cls.bundled(name, **kwargs)
 
     @classmethod
     def bundled(cls, name: str, **kwargs) -> "DatasetSpec":
@@ -102,18 +114,7 @@ class DatasetSpec:
     @classmethod
     def from_source(cls, uri: str, name: str | None = None, **kwargs) -> "DatasetSpec":
         """A spec serving a data-source URI (``csv:``/``npz:``/``sqlite:``)."""
-
-        def loader() -> Dataset:
-            # Source-backed specs materialize through the lazy
-            # ExplainSession.from_source path in _prepare_from_source;
-            # an eager loader call would silently ingest the whole
-            # source, so enforce the invariant instead of permitting it.
-            raise QueryError(
-                f"source-backed spec {uri!r} must not be materialized via "
-                "loader(); the registry prepares it lazily from the source"
-            )
-
-        return cls(name=name or uri, loader=loader, source=uri, **kwargs)
+        return cls(name=name or uri, source=uri, **kwargs)
 
 
 def session_nbytes(session: ExplainSession) -> int:
@@ -515,50 +516,40 @@ class SessionRegistry:
         return entry
 
     def _prepare(self, spec: DatasetSpec) -> ExplainSession:
-        """Materialize and prepare a session (runs under the key lock only)."""
+        """Bind and prepare a session (runs under the key lock only).
+
+        A lattice spec routes through the data's shared router.  Otherwise,
+        with a cache directory, the cold prepare first adopts the entry
+        under the session's :meth:`~ExplainSession.cube_key`
+        memory-mapped, and builds (storing into the cache) only on a
+        miss.  A source's relation stays lazy: a warm serve never parses
+        it.
+        """
         if spec.source is not None:
-            return self._prepare_from_source(spec)
-        dataset = spec.loader()
-        config = spec.config if spec.config is not None else default_config_for(dataset)
+            data = resolve_source(spec.source)
+            binding = {"explain_by": spec.explain_by}
+            config = spec.config if spec.config is not None else ExplainConfig.optimized()
+        else:
+            dataset = spec.loader()
+            data = dataset.relation
+            binding = {
+                "measure": dataset.measure,
+                "explain_by": spec.explain_by or dataset.explain_by,
+                "aggregate": dataset.aggregate,
+            }
+            config = spec.config if spec.config is not None else default_config_for(dataset)
         if self._cache_dir and not config.cache_dir:
             config = config.updated(cache_dir=self._cache_dir)
-        explain_by = spec.explain_by or dataset.explain_by
         if spec.lattice:
-            router = self._router_for(
-                dataset.relation.fingerprint(),
-                dataset.relation.schema.require_time(),
-            )
-            return ExplainSession.from_lattice(
-                router,
-                relation=dataset.relation,
-                measure=dataset.measure,
-                explain_by=explain_by,
-                aggregate=dataset.aggregate,
-                config=config,
-            )
-        session = ExplainSession(
-            dataset.relation,
-            measure=dataset.measure,
-            explain_by=explain_by,
-            aggregate=dataset.aggregate,
-            config=config,
-        )
-        if self._cache is None or not self._adopt(
-            session,
-            cube_key(
-                dataset.relation,
-                dataset.measure,
-                explain_by,
-                aggregate=dataset.aggregate,
-                max_order=config.max_order,
-                deduplicate=config.deduplicate,
-            ),
-        ):
+            router = self._router_for(resolve_source(data))
+            return ExplainSession.from_lattice(router, data, config=config, **binding)
+        session = ExplainSession(data, config=config, **binding)
+        if self._cache is None or not self._adopt(session):
             session.prepare()
         return session
 
-    def _adopt(self, session: ExplainSession, key: CubeKey) -> bool:
-        """Install the memory-mapped cache entry of ``key``, if one exists.
+    def _adopt(self, session: ExplainSession) -> bool:
+        """Install the memory-mapped cache entry of the session's cube, if any.
 
         The adopted cube is a fixed snapshot whose series matrices are
         mapped read-only — every process opening the same entry shares
@@ -566,77 +557,29 @@ class SessionRegistry:
         A lazy (source-backed) session stays lazy.  ``False`` on a miss.
         """
         with span("cache-adopt"):
-            cube = RollupCache(session.config.cache_dir).load(key, mmap=True)
+            cube = RollupCache(session.config.cache_dir).load(
+                session.cube_key(), mmap=True
+            )
         if cube is None:
             return False
-        session.adopt_snapshot(None, cube, cache_hit=True)
+        session.adopt_snapshot(None, cube)
         with self._lock:
             self._stats.adopt_hits += 1
         return True
 
-    def _prepare_from_source(self, spec: DatasetSpec) -> ExplainSession:
-        """Cold-build a source-backed spec (source-keyed cache, out-of-core).
-
-        The session's relation stays lazy: a warm cache serve never
-        parses the source.
-        """
-        source = resolve_source(spec.source)
-        config = spec.config if spec.config is not None else ExplainConfig.optimized()
-        if self._cache_dir and not config.cache_dir:
-            config = config.updated(cache_dir=self._cache_dir)
-        if spec.lattice:
-            from repro.lattice.build import lattice_fingerprint
-
-            router = self._router_for(
-                lattice_fingerprint(source), source.schema.require_time()
-            )
-            return ExplainSession.from_lattice(
-                router,
-                source=source,
-                explain_by=spec.explain_by,
-                config=config,
-            )
-        schema = source.schema
-        measures = schema.measure_names()
-        if not measures:
-            raise QueryError(f"source {source.uri} binds no measure column")
-        # ExplainSession.from_source's query defaults, resolved once so the
-        # adopted key is the one the cold build below stores under.
-        query = dict(
-            measure=measures[0],
-            explain_by=(
-                tuple(spec.explain_by) if spec.explain_by else schema.dimension_names()
-            ),
-            aggregate=source.default_aggregate,
-            time_attr=schema.require_time(),
-        )
-        if self._cache is not None:
-            session = ExplainSession(source.read, config=config, **query)
-            key = source_cube_key(
-                source,
-                query["measure"],
-                query["explain_by"],
-                aggregate=query["aggregate"],
-                time_attr=query["time_attr"],
-                max_order=config.max_order,
-                deduplicate=config.deduplicate,
-            )
-            if self._adopt(session, key):
-                return session
-        return ExplainSession.from_source(source, config=config, **query)
-
-    def _router_for(self, fingerprint: str, time_attr: str) -> LatticeRouter:
+    def _router_for(self, source: DataSource) -> LatticeRouter:
         """The shared lattice router of one data fingerprint (lazy).
 
         Creation loads and validates the persisted manifest — a corrupt
         document or fingerprint mismatch propagates loudly to the request
         that needed the lattice, per the routing contract.
         """
+        fingerprint = source.cache_fingerprint()
         with self._lock:
             router = self._routers.get(fingerprint)
             if router is None:
                 router = LatticeRouter(
-                    fingerprint, time_attr, cache=self._cache
+                    fingerprint, source.schema.require_time(), cache=self._cache
                 )
                 self._routers[fingerprint] = router
             return router

@@ -24,6 +24,8 @@ Three stdlib-only backends implement it: :class:`~repro.store.CsvSource`,
 :class:`~repro.store.NpzSource` (a columnar snapshot written by
 ``repro store convert``, memory-mapped on load) and
 :class:`~repro.store.SqliteSource` (column/predicate/GROUP-BY pushdown).
+:class:`RelationSource` binds an in-memory relation the same way, so a
+session or a lattice prepares from any data through one path.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ from repro.relation.table import Relation
 
 #: Default number of rows per chunk for out-of-core ingestion.
 DEFAULT_CHUNK_ROWS = 100_000
+
+#: Namespace prefix keeping source fingerprints apart from relation ones
+#: in rollup-cache keys (relation fingerprints are bare hex digests).
+SOURCE_KEY_PREFIX = "src-"
 
 
 def file_digest(path: str | Path) -> str:
@@ -136,6 +142,14 @@ class DataSource(abc.ABC):
         """Row count if the backend knows it cheaply, else ``None``."""
         return None
 
+    def cache_fingerprint(self) -> str:
+        """The data component of rollup-cache keys for cubes built from here.
+
+        The source fingerprint under the ``src-`` namespace, so a warm
+        serve finds its cube before parsing anything.
+        """
+        return f"{SOURCE_KEY_PREFIX}{self.fingerprint()}"
+
     # ------------------------------------------------------------------
     def _check_columns(self, available: Sequence[str]) -> None:
         """Validate the bound schema against discovered column names."""
@@ -148,3 +162,43 @@ class DataSource(abc.ABC):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.uri!r})"
+
+
+class RelationSource(DataSource):
+    """An in-memory relation as a one-chunk source.
+
+    Cubes built from it are keyed by the relation's content fingerprint,
+    the key every relation-backed cube has always had.  The relation is
+    already resident, so a chunked build could not bound anything: it is
+    read whole (``chunk_safe`` is ``False``, and its row order is never
+    checked against the append contract).
+    """
+
+    scheme = "relation"
+    chunk_safe = False
+
+    def __init__(self, relation: Relation):
+        self._relation = relation
+
+    @property
+    def uri(self) -> str:
+        return f"relation:{self._relation.n_rows}-rows"
+
+    @property
+    def schema(self) -> Schema:
+        return self._relation.schema
+
+    def column_names(self) -> tuple[str, ...]:
+        return self._relation.schema.names
+
+    def fingerprint(self) -> str:
+        return self._relation.fingerprint()
+
+    def cache_fingerprint(self) -> str:
+        return self._relation.fingerprint()
+
+    def read(self) -> Relation:
+        return self._relation
+
+    def iter_chunks(self, chunk_rows: int = DEFAULT_CHUNK_ROWS) -> Iterator[Relation]:
+        yield self._relation

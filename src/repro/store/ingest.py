@@ -1,17 +1,17 @@
-"""Out-of-core ingestion: source-keyed caching and the chunked cube build.
+"""Ingestion: the one cache-or-build path and the chunked cube build.
 
 This is where the storage layer meets the prepare tier.  Two ideas:
 
-**Source-keyed rollup caching.**  The classic cache key embeds
-``Relation.fingerprint()`` — which requires the relation, i.e. a full
-ingest.  :func:`source_cube_key` instead keys by the *source* fingerprint
-(``src-…`` namespace: cheap, no materialization), so a warm serve checks
-the cache **before** parsing anything and, on a hit, skips ingestion
-entirely.  Cold builds store under the same source key; both keyings are
-valid simultaneously and never collide (relation fingerprints are bare
-hex digests).
+**Source-keyed rollup caching.**  A cube's cache key embeds
+:meth:`DataSource.cache_fingerprint` — a relation's content fingerprint,
+or for every other source its cheap *source* fingerprint under the
+``src-`` namespace (no materialization) — so a warm serve checks the
+cache **before** parsing anything and, on a hit, skips ingestion
+entirely.  :func:`load_or_build_from_source` is the one cache-or-build
+call: every prepared session (:meth:`ExplainSession.prepare
+<repro.core.session.ExplainSession.prepare>`) gets its cube from it.
 
-**Chunked out-of-core builds.**  :func:`load_or_build_from_source` feeds
+**Chunked out-of-core builds.**  :func:`scan_cubes_from_source` feeds
 :meth:`DataSource.iter_chunks` through the append ledger
 (:mod:`repro.cube.delta`): the first chunk builds an appendable cube, every
 later chunk is ``cube.append(chunk)``.  Appends replay the exact unbuffered
@@ -19,28 +19,26 @@ later chunk is ``cube.append(chunk)``.  Appends replay the exact unbuffered
 execute, so the chunked cube is **bit-identical** to the in-memory build —
 while peak relation residency stays bounded by one chunk.  The append
 contract requires chunk-ordered time labels (a new label must sort after
-every label in earlier chunks); a source that violates it degrades to a
-one-shot in-memory build — same bytes, unbounded residency, never an
-error (``IngestReport.out_of_core`` records which path ran).
+every label in earlier chunks); a source that violates it, or that is
+known not to keep it (``chunk_safe`` is ``False``, e.g. an in-memory
+relation), gets a one-shot read instead — same bytes, unbounded
+residency, never an error (``IngestReport.out_of_core`` records which
+path ran).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.cube.cache import CubeKey, RollupCache, cube_key_for_fingerprint
+from repro.cube.cache import RollupCache, cube_key
 from repro.cube.datacube import ExplanationCube
 from repro.datasets.base import Dataset
-from repro.exceptions import BackfillError, QueryError
+from repro.exceptions import AggregateError, BackfillError, QueryError
 from repro.obs.trace import span
-from repro.relation.aggregates import AggregateFunction
+from repro.relation.aggregates import AggregateFunction, get_aggregate
 from repro.relation.table import Relation
 from repro.store.base import DEFAULT_CHUNK_ROWS, DataSource
-
-#: Namespace prefix keeping source fingerprints apart from relation ones.
-SOURCE_KEY_PREFIX = "src-"
 
 
 def _check_preaggregate(source: DataSource, aggregate: str | AggregateFunction) -> None:
@@ -63,7 +61,8 @@ def _check_preaggregate(source: DataSource, aggregate: str | AggregateFunction) 
 
 @dataclass(frozen=True)
 class IngestReport:
-    """What one :func:`load_or_build_from_source` call actually did.
+    """What one :func:`scan_cubes_from_source` or
+    :func:`load_or_build_from_source` call actually did.
 
     Attributes
     ----------
@@ -78,11 +77,12 @@ class IngestReport:
         Largest single chunk materialized — the relation-residency bound
         of an out-of-core build.
     build_seconds:
-        Wall-clock spent ingesting + building (0 on a cache hit).
+        Duration of the scan's ``ingest`` span: reading plus building
+        (0 on a cache hit).
     relation:
         The materialized relation when the one-shot path ran (it was
-        paid for — callers like :meth:`ExplainSession.from_source` adopt
-        it instead of re-ingesting later); ``None`` for cache hits and
+        paid for — :meth:`ExplainSession.prepare` adopts it instead of
+        re-ingesting later); ``None`` for cache hits and
         out-of-core builds, which never hold the full relation.
     """
 
@@ -95,42 +95,18 @@ class IngestReport:
     relation: "Relation | None" = field(default=None, repr=False, compare=False)
 
 
-def source_cube_key(
-    source: DataSource,
-    measure: str,
-    explain_by: Sequence[str],
-    aggregate: str | AggregateFunction = "sum",
-    time_attr: str | None = None,
-    max_order: int = 3,
-    deduplicate: bool = True,
-) -> CubeKey:
-    """The rollup-cache key a cube built from ``source`` resolves to.
-
-    Derived without materializing the relation: the data component is the
-    source fingerprint under the ``src-`` namespace.
-    """
-    return cube_key_for_fingerprint(
-        f"{SOURCE_KEY_PREFIX}{source.fingerprint()}",
-        measure,
-        explain_by,
-        aggregate=aggregate,
-        time_attr=time_attr or source.schema.require_time(),
-        max_order=max_order,
-        deduplicate=deduplicate,
-    )
-
-
 def scan_cubes_from_source(
     source: DataSource,
     queries: Sequence[dict],
     time_attr: str | None = None,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    out_of_core: bool = True,
 ) -> tuple[list[ExplanationCube], IngestReport]:
     """Build N cubes from **one scan** over the source.
 
-    The multi-rollup workhorse behind :func:`repro.lattice.build_lattice`:
-    instead of paying N ingestion passes for N cube shapes, every chunk is
+    The one cube build: a session's cube (N = 1, through
+    :func:`load_or_build_from_source`) and the roots of
+    :func:`repro.lattice.build_lattice` both come from here.  Instead of
+    paying N ingestion passes for N cube shapes, every chunk is
     materialized once and scattered into all N append ledgers before the
     next chunk is read — so peak relation residency stays one chunk while
     the scan cost is paid once, and each resulting cube is bit-identical
@@ -140,11 +116,11 @@ def scan_cubes_from_source(
     ``queries`` holds one dict per cube with the build parameters:
     ``explain_by``, ``measure``, and optionally ``aggregate``,
     ``max_order``, ``deduplicate``.  A source whose chunk order violates
-    the append contract (or ``out_of_core=False``) falls back to a single
-    one-shot read feeding all N builds — still one scan, unbounded
-    residency — and the report's ``relation`` hands the materialized rows
-    to callers that can reuse them.  This is also the single-cube build
-    of :func:`load_or_build_from_source` (N = 1).
+    the append contract falls back to a single one-shot read feeding all
+    N builds — still one scan, unbounded residency — and the report's
+    ``relation`` hands the materialized rows to callers that can reuse
+    them.  The scan is one ``ingest`` span, whose duration is the
+    report's ``build_seconds``.
     """
     if not queries:
         raise QueryError("scan_cubes_from_source needs at least one query")
@@ -163,55 +139,54 @@ def scan_cubes_from_source(
             appendable=True,
         )
 
-    started = time.perf_counter()
     chunked = False
     chunks = rows = peak = 0
     cubes: list[ExplanationCube] | None = None
-    if out_of_core and getattr(source, "chunk_safe", True) is False:
-        # The source knows its row order violates the append contract
-        # (npz snapshots record it at convert time): skip the doomed
-        # chunked attempt instead of paying for it and then re-reading.
-        out_of_core = False
-    if out_of_core:
-        try:
-            cubes = []
-            for chunk in source.iter_chunks(chunk_rows):
-                if chunk.n_rows == 0:
-                    continue
-                chunks += 1
-                rows += chunk.n_rows
-                peak = max(peak, chunk.n_rows)
-                if not cubes:
-                    cubes = [make_cube(query, chunk) for query in queries]
-                else:
-                    for cube in cubes:
-                        cube.append(chunk)
-            if not cubes:
-                raise QueryError(f"source {source.uri} yielded no rows")
-            chunked = True
-        except BackfillError:
-            # An unordered source: a new label back-filled across a chunk
-            # boundary.  Degrade to the shared one-shot read below — same
-            # results, unbounded residency.  Only this specific error
-            # means "chunk order unsafe"; a misconfiguration (bad
-            # aggregate, invalid binding) propagates instead of paying a
-            # pointless full re-ingest to hit the same error again.
-            cubes = None
-            chunks = rows = peak = 0
     relation: Relation | None = None
-    if cubes is None:
-        relation = source.read()
-        if relation.n_rows == 0:
-            raise QueryError(f"source {source.uri} yielded no rows")
-        chunks, rows, peak = 1, relation.n_rows, relation.n_rows
-        cubes = [make_cube(query, relation) for query in queries]
+    with span("ingest") as ingest:
+        # A source that knows its row order violates the append contract
+        # (npz snapshots record it at convert time) skips the doomed
+        # chunked attempt instead of paying for it and then re-reading.
+        if getattr(source, "chunk_safe", True) is not False:
+            try:
+                cubes = []
+                for chunk in source.iter_chunks(chunk_rows):
+                    if chunk.n_rows == 0:
+                        continue
+                    chunks += 1
+                    rows += chunk.n_rows
+                    peak = max(peak, chunk.n_rows)
+                    if not cubes:
+                        cubes = [make_cube(query, chunk) for query in queries]
+                    else:
+                        for cube in cubes:
+                            cube.append(chunk)
+                if not cubes:
+                    raise QueryError(f"source {source.uri} yielded no rows")
+                chunked = True
+            except BackfillError:
+                # An unordered source: a new label back-filled across a
+                # chunk boundary.  Degrade to the shared one-shot read
+                # below — same results, unbounded residency.  Only this
+                # specific error means "chunk order unsafe"; a
+                # misconfiguration (bad aggregate, invalid binding)
+                # propagates instead of paying a pointless full re-ingest
+                # to hit the same error again.
+                cubes = None
+                chunks = rows = peak = 0
+        if cubes is None:
+            relation = source.read()
+            if relation.n_rows == 0:
+                raise QueryError(f"source {source.uri} yielded no rows")
+            chunks, rows, peak = 1, relation.n_rows, relation.n_rows
+            cubes = [make_cube(query, relation) for query in queries]
     report = IngestReport(
         cache_hit=False,
         out_of_core=chunked,
         chunks=chunks,
         rows=rows,
         peak_chunk_rows=peak,
-        build_seconds=time.perf_counter() - started,
+        build_seconds=ingest.duration,
         relation=relation,
     )
     return cubes, report
@@ -227,23 +202,30 @@ def load_or_build_from_source(
     max_order: int = 3,
     deduplicate: bool = True,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    out_of_core: bool = True,
 ) -> tuple[ExplanationCube, IngestReport]:
-    """Serve a cube for a data source, ingesting only on a cache miss.
+    """Serve a cube for a data source, building it only on a cache miss.
 
-    The source-keyed sibling of :func:`repro.cube.cache.load_or_build`:
-    with a cache, the key is derived from the cheap source fingerprint
-    and a hit returns the stored cube without reading a single row.  On a
-    miss the cube is built out-of-core (chunked through the append
-    ledger, bit-identical to one-shot; degrades to a one-shot in-memory
-    build when the source's chunk order violates the append contract) or
-    one-shot when ``out_of_core=False``, then stored under the source
-    key.
+    With a cache, the key (:func:`~repro.cube.cache.cube_key`) is derived
+    from the source's cheap cache fingerprint and a hit returns the stored
+    cube without reading a single row.  On a miss the cube is built by
+    :func:`scan_cubes_from_source` (chunked through the append ledger,
+    or one-shot for a source that cannot be chunked) and stored under
+    that key.
+
+    Two classes of query quietly skip the cache rather than failing or
+    mis-serving: a custom :class:`AggregateFunction` instance that is not
+    the registry's own (the key stores only the aggregate *name*, so it
+    could collide with or shadow a registered one), and a cube whose
+    labels or values are not JSON scalars, or a cache directory that is
+    not writable (the store fails).  Both still build and return a correct
+    cube — it just is not persisted.
     """
     _check_preaggregate(source, aggregate)
+    if cache is not None and not _registered(aggregate):
+        cache = None
     key = None
     if cache is not None:
-        key = source_cube_key(
+        key = cube_key(
             source,
             measure,
             explain_by,
@@ -256,30 +238,37 @@ def load_or_build_from_source(
         if cached is not None:
             return cached, IngestReport(cache_hit=True, out_of_core=False)
 
-    with span("ingest"):
-        (cube,), report = scan_cubes_from_source(
-            source,
-            [
-                {
-                    "explain_by": explain_by,
-                    "measure": measure,
-                    "aggregate": aggregate,
-                    "max_order": max_order,
-                    "deduplicate": deduplicate,
-                }
-            ],
-            time_attr=time_attr,
-            chunk_rows=chunk_rows,
-            out_of_core=out_of_core,
-        )
+    (cube,), report = scan_cubes_from_source(
+        source,
+        [
+            {
+                "explain_by": explain_by,
+                "measure": measure,
+                "aggregate": aggregate,
+                "max_order": max_order,
+                "deduplicate": deduplicate,
+            }
+        ],
+        time_attr=time_attr,
+        chunk_rows=chunk_rows,
+    )
     if cache is not None and key is not None:
         try:
             cache.store(key, cube)
         except (TypeError, OSError):
-            # Unstorable labels or an unwritable cache directory degrade
-            # to an uncached build, exactly like load_or_build.
+            # A cache problem is never a reason to fail the build.
             pass
     return cube, report
+
+
+def _registered(aggregate: str | AggregateFunction) -> bool:
+    """Whether the cache key's aggregate *name* identifies ``aggregate``."""
+    if isinstance(aggregate, str):
+        return True
+    try:
+        return get_aggregate(aggregate.name) is aggregate
+    except AggregateError:
+        return False
 
 
 def dataset_from_source(

@@ -38,7 +38,8 @@ from typing import Sequence
 from urllib.parse import unquote
 
 from repro.exceptions import QueryError
-from repro.store.base import DataSource
+from repro.relation.table import Relation
+from repro.store.base import DataSource, RelationSource
 from repro.store.csv_source import CsvSource
 from repro.store.npz_source import NpzSource
 from repro.store.sqlite_source import SqliteSource
@@ -111,13 +112,17 @@ def split_list(value: str | None) -> tuple[str, ...]:
 
 
 def resolve_source(
-    uri: str | DataSource,
+    uri: str | DataSource | Relation,
     dimensions: Sequence[str] = (),
     measures: Sequence[str] = (),
     time: str | None = None,
     require_binding: bool = True,
 ) -> DataSource:
-    """Resolve a source URI (or pass through a ready source object).
+    """Resolve a source URI, or bind an in-memory relation as a source.
+
+    A ready source object passes through, and a relation becomes a
+    :class:`~repro.store.base.RelationSource`: every entry point that takes
+    data accepts all three forms through this one function.
 
     Explicit ``dimensions``/``measures``/``time`` arguments take
     precedence over the URI's own parameters.  Unknown parameters raise
@@ -130,6 +135,8 @@ def resolve_source(
     """
     if isinstance(uri, DataSource):
         return uri
+    if isinstance(uri, Relation):
+        return RelationSource(uri)
     scheme, path, params = parse_source_uri(uri)
     allowed = _SHARED_PARAMS | (_SQLITE_PARAMS if scheme == "sqlite" else set())
     unknown = set(params) - allowed

@@ -79,13 +79,6 @@ def test_extremes_not_subtractable(name):
         aggregate.subtract(aggregate.empty_state(1), aggregate.empty_state(1))
 
 
-def test_min_max_merge():
-    aggregate = get_aggregate("min")
-    left = aggregate.accumulate(np.asarray([3.0]), np.asarray([0]), 1)
-    right = aggregate.accumulate(np.asarray([1.0]), np.asarray([0]), 1)
-    assert aggregate.finalize(aggregate.merge(left, right))[0] == 1.0
-
-
 def test_empty_groups_finalize_to_zero():
     for name in ("sum", "count", "avg", "var", "min", "max"):
         aggregate = get_aggregate(name)

@@ -1,7 +1,7 @@
 """Unit tests for the delta-maintenance stack (streaming appends).
 
 Covers the append ledger on the cube (:mod:`repro.cube.delta`),
-``merge_cubes``, targeted scorer-LRU invalidation in
+targeted scorer-LRU invalidation in
 ``ExplainSession.append``, incremental ``SegmentationCosts.extend``, the
 format-2 cache entries with append state, chained snapshot keys with the
 append log, and the CLI ``--follow`` loop.  The end-to-end equivalence
@@ -32,7 +32,7 @@ from repro.cube.cache import (
     chained_key,
     cube_key,
 )
-from repro.cube.datacube import ExplanationCube, merge_cubes
+from repro.cube.datacube import ExplanationCube
 from repro.diff.scorer import SegmentScorer
 from repro.exceptions import (
     ExplanationError,
@@ -156,30 +156,6 @@ class TestCubeAppend:
             sliced.append(day_rows([8]))
         fixed = ExplanationCube(day_rows(range(8)), ["cat"], "m", appendable=False)
         assert not fixed.appendable
-
-
-class TestMergeCubes:
-    def test_rejects_mismatched_queries(self):
-        left = ExplanationCube(day_rows(range(4)), ["cat"], "m", aggregate="sum")
-        right = ExplanationCube(day_rows(range(4, 8)), ["cat"], "m", aggregate="avg")
-        with pytest.raises(ExplanationError, match="different"):
-            merge_cubes(left, right)
-
-    def test_rejects_non_appendable_inputs(self):
-        left = ExplanationCube(day_rows(range(4)), ["cat"], "m")
-        right = ExplanationCube(day_rows(range(4, 8)), ["cat"], "m", appendable=False)
-        with pytest.raises(ExplanationError, match="appendable"):
-            merge_cubes(left, right)
-
-    def test_merge_does_not_mutate_inputs(self):
-        left = ExplanationCube(day_rows(range(4)), ["cat"], "m")
-        right = ExplanationCube(day_rows(range(4, 8)), ["cat"], "m")
-        left_bytes = left.included_values.tobytes()
-        merged = merge_cubes(left, right)
-        assert left.n_times == 4 and right.n_times == 4
-        assert left.included_values.tobytes() == left_bytes
-        assert merged.n_times == 8
-        assert merged.appendable  # the merged cube keeps streaming
 
 
 # ----------------------------------------------------------------------

@@ -6,16 +6,25 @@ import pytest
 from repro.core.config import ExplainConfig
 from repro.core.engine import TSExplain
 from repro.core.pipeline import ExplainPipeline
-from repro.cube.cache import CACHE_SUFFIX, RollupCache, cube_key, load_or_build
+from repro.cube.cache import CACHE_SUFFIX, RollupCache, cube_key
 from repro.cube.datacube import ExplanationCube
 from repro.exceptions import ConfigError
 from repro.relation.schema import AttributeKind
+from repro.store import RelationSource, load_or_build_from_source
 from tests.conftest import regime_relation, two_attr_relation
 
 
 @pytest.fixture
 def cache(tmp_path):
     return RollupCache(tmp_path / "rollups")
+
+
+def _load_or_build(cache, relation, explain_by, measure, **kwargs):
+    """The cache-or-build path over a relation: ``(cube, cache_hit)``."""
+    cube, report = load_or_build_from_source(
+        cache, RelationSource(relation), explain_by, measure, **kwargs
+    )
+    return cube, report.cache_hit
 
 
 def _cubes_equal(left: ExplanationCube, right: ExplanationCube) -> bool:
@@ -97,16 +106,16 @@ def test_explain_by_order_does_not_split_cache(cache):
 def test_corrupted_entry_is_a_miss_and_rebuilds(cache):
     relation = regime_relation()
     key = cube_key(relation, "sales", ["cat"])
-    cube, hit = load_or_build(cache, relation, ["cat"], "sales")
+    cube, hit = _load_or_build(cache, relation, ["cat"], "sales")
     assert not hit
     path = cache.path_for(key)
     path.write_bytes(b"this is not a pickle")
     assert cache.load(key) is None
-    rebuilt, hit = load_or_build(cache, relation, ["cat"], "sales")
+    rebuilt, hit = _load_or_build(cache, relation, ["cat"], "sales")
     assert not hit
     assert _cubes_equal(cube, rebuilt)
     # The rebuild overwrote the poisoned entry, so the next call hits.
-    _, hit = load_or_build(cache, relation, ["cat"], "sales")
+    _, hit = _load_or_build(cache, relation, ["cat"], "sales")
     assert hit
 
 
@@ -305,7 +314,7 @@ def test_format2_entries_read_as_misses_and_are_overwritten(cache, capsys):
     assert cache.load(key) is None
     assert cache.load(key, mmap=True) is None
 
-    cube, hit = load_or_build(cache, relation, ["cat"], "sales")
+    cube, hit = _load_or_build(cache, relation, ["cat"], "sales")
     assert not hit
     assert cache.path_for(key) == path
     mapped = cache.load(key, mmap=True)
@@ -460,12 +469,12 @@ def test_non_json_labels_degrade_to_uncached(cache):
     }
     schema = Schema.build(dimensions=["cat"], measures=["sales"], time="t")
     relation = Relation(columns, schema)
-    cube, hit = load_or_build(cache, relation, ["cat"], "sales")
+    cube, hit = _load_or_build(cache, relation, ["cat"], "sales")
     assert not hit
     assert cube.labels == tuple(days)
     assert cache.entries() == []  # nothing persisted, nothing crashed
     # And a second call is still a (correct) miss, never a crash.
-    again, hit = load_or_build(cache, relation, ["cat"], "sales")
+    again, hit = _load_or_build(cache, relation, ["cat"], "sales")
     assert not hit and _cubes_equal(cube, again)
 
 
@@ -476,12 +485,12 @@ def test_custom_aggregate_bypasses_cache(cache):
         name = "sum"  # deliberately shadows the registry name
 
     relation = regime_relation()
-    cube, hit = load_or_build(cache, relation, ["cat"], "sales", aggregate=TrimmedSum())
+    cube, hit = _load_or_build(cache, relation, ["cat"], "sales", aggregate=TrimmedSum())
     assert not hit
     assert cache.entries() == []  # never stored under the shadowed name
     # A genuine registry aggregate still caches normally afterwards.
-    load_or_build(cache, relation, ["cat"], "sales", aggregate="sum")
-    _, hit = load_or_build(cache, relation, ["cat"], "sales", aggregate="sum")
+    _load_or_build(cache, relation, ["cat"], "sales", aggregate="sum")
+    _, hit = _load_or_build(cache, relation, ["cat"], "sales", aggregate="sum")
     assert hit
 
 
@@ -581,7 +590,7 @@ def test_unwritable_cache_dir_degrades_to_uncached(tmp_path):
     try:
         cache = RollupCache(locked)
         relation = regime_relation()
-        cube, hit = load_or_build(cache, relation, ["cat"], "sales")
+        cube, hit = _load_or_build(cache, relation, ["cat"], "sales")
         assert not hit and cube.n_explanations > 0
     finally:
         locked.chmod(0o700)

@@ -132,11 +132,11 @@ def _compute_lattice(name: str) -> dict:
             deduplicate=config.deduplicate,
         ),
     )
-    router = LatticeRouter.for_relation(dataset.relation)
+    router = LatticeRouter.for_source(dataset.relation)
     router.seed(cubes)
     session = ExplainSession.from_lattice(
         router,
-        relation=dataset.relation,
+        dataset.relation,
         measure=dataset.measure,
         explain_by=explain_by or dataset.explain_by,
         aggregate=dataset.aggregate,

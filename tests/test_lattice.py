@@ -40,7 +40,6 @@ from repro.lattice import (
     covering_aggregate,
     default_lattice,
     derive_rollup,
-    lattice_fingerprint,
     parse_rollup_spec,
     plan_roots,
     rollup_key,
@@ -275,7 +274,7 @@ class TestBuildLattice:
         cache = RollupCache(tmp_path)
         build_lattice(relation, [spec(aggregate="var")], cache=cache)
         build_lattice(relation, [spec(aggregate="avg")], cache=cache)
-        router = LatticeRouter.for_relation(relation, cache=cache)
+        router = LatticeRouter.for_source(relation, cache=cache)
         assert {entry.spec for entry in router.manifest.entries} == {
             spec(aggregate="var"),
             spec(aggregate="avg"),
@@ -285,9 +284,9 @@ class TestBuildLattice:
         """build is the recovery path: it must not choke on corruption."""
         relation = two_attr_relation()
         cache = RollupCache(tmp_path)
-        cache.manifest_path_for(lattice_fingerprint(relation)).write_text("{not json")
+        cache.manifest_path_for(relation.fingerprint()).write_text("{not json")
         build_lattice(relation, [spec()], cache=cache)
-        router = LatticeRouter.for_relation(relation, cache=cache)
+        router = LatticeRouter.for_source(relation, cache=cache)
         cube, info = router.route(spec())
         assert info.decision == "exact" and cube is not None
 
@@ -305,7 +304,7 @@ class TestRouter:
 
     def test_exact_and_derived_and_miss(self, tmp_path):
         relation, cache = self._built(tmp_path)
-        router = LatticeRouter.for_relation(relation, cache=cache)
+        router = LatticeRouter.for_source(relation, cache=cache)
         cube, info = router.route(spec(aggregate="var"))
         assert info.decision == "exact" and cube is not None
         cube, info = router.route(spec(dims=("a",), aggregate="sum"))
@@ -324,27 +323,27 @@ class TestRouter:
 
     def test_derivation_is_persisted_for_the_next_process(self, tmp_path):
         relation, cache = self._built(tmp_path)
-        router = LatticeRouter.for_relation(relation, cache=cache)
+        router = LatticeRouter.for_source(relation, cache=cache)
         router.route(spec(aggregate="sum"))
-        fresh = LatticeRouter.for_relation(relation, cache=cache)
+        fresh = LatticeRouter.for_source(relation, cache=cache)
         cube, info = fresh.route(spec(aggregate="sum"))
         assert info.decision == "exact" and cube is not None
         assert fresh.manifest.get(spec(aggregate="sum")).origin == "derived"
 
     def test_corrupt_manifest_raises_not_silent_rebuild(self, tmp_path):
         relation, cache = self._built(tmp_path)
-        cache.manifest_path_for(lattice_fingerprint(relation)).write_text("{not json")
+        cache.manifest_path_for(relation.fingerprint()).write_text("{not json")
         with pytest.raises(QueryError):
-            LatticeRouter.for_relation(relation, cache=cache)
+            LatticeRouter.for_source(relation, cache=cache)
 
     def test_fingerprint_mismatch_raises(self, tmp_path):
         relation, cache = self._built(tmp_path)
-        fingerprint = lattice_fingerprint(relation)
+        fingerprint = relation.fingerprint()
         payload = cache.load_manifest_payload(fingerprint)
         payload["fingerprint"] = "someone-elses-data"
         cache.store_manifest_payload(fingerprint, payload)
         with pytest.raises(QueryError, match="fingerprint"):
-            LatticeRouter.for_relation(relation, cache=cache)
+            LatticeRouter.for_source(relation, cache=cache)
         with pytest.raises(QueryError, match="fingerprint"):
             LatticeRouter(
                 "fp-a", "t", manifest=LatticeManifest(fingerprint="fp-b", time_attr="t")
@@ -352,15 +351,15 @@ class TestRouter:
 
     def test_listed_but_unloadable_rollup_raises(self, tmp_path):
         relation, cache = self._built(tmp_path)
-        fingerprint = lattice_fingerprint(relation)
+        fingerprint = relation.fingerprint()
         cache.path_for(rollup_key(fingerprint, spec(aggregate="var"), "t")).unlink()
-        router = LatticeRouter.for_relation(relation, cache=cache)
+        router = LatticeRouter.for_source(relation, cache=cache)
         with pytest.raises(QueryError, match="rebuild the lattice"):
             router.route(spec(aggregate="var"))
 
     def test_promotion_after_repeated_misses(self):
         relation = two_attr_relation()
-        router = LatticeRouter.for_relation(relation, promote_after=2)
+        router = LatticeRouter.for_source(relation, promote_after=2)
         shape = spec(aggregate="sum")
         built = ExplanationCube(relation, ("a", "b"), "m", appendable=True)
         assert router.route(shape)[1].decision == "miss"
@@ -376,7 +375,7 @@ class TestRouter:
 
     def test_ledgerless_cubes_are_not_promoted(self):
         relation = two_attr_relation()
-        router = LatticeRouter.for_relation(relation, promote_after=1)
+        router = LatticeRouter.for_source(relation, promote_after=1)
         shape = spec(aggregate="sum")
         router.route(shape)
         assert not router.record_build(
@@ -426,19 +425,21 @@ class TestScanCubesFromSource:
 class TestSessionFromLattice:
     def test_requires_exactly_one_data_binding(self):
         relation = two_attr_relation()
-        router = LatticeRouter.for_relation(relation)
+        router = LatticeRouter.for_source(relation)
+        # The one binding must be the data the router is keyed by ...
         with pytest.raises(QueryError):
-            ExplainSession.from_lattice(router)
+            ExplainSession.from_lattice(router, relation.head(5))
+        # ... and must resolve to a bound source.
         with pytest.raises(QueryError):
-            ExplainSession.from_lattice(router, relation=relation, source="csv:x.csv")
+            ExplainSession.from_lattice(router, "csv:x.csv")
 
     def test_exact_route_prepares_without_building(self, tmp_path):
         relation = two_attr_relation()
         cache = RollupCache(tmp_path)
         build_lattice(relation, default_lattice(("a", "b"), "m"), cache=cache)
-        router = LatticeRouter.for_relation(relation, cache=cache)
+        router = LatticeRouter.for_source(relation, cache=cache)
         session = ExplainSession.from_lattice(
-            router, relation=relation, measure="m", explain_by=("a", "b")
+            router, relation, measure="m", explain_by=("a", "b")
         )
         assert session.prepared
         assert session.route_info.decision == "exact"
@@ -448,11 +449,11 @@ class TestSessionFromLattice:
 
     def test_miss_falls_back_and_feeds_promotion(self):
         relation = two_attr_relation()
-        router = LatticeRouter.for_relation(relation)  # empty lattice
+        router = LatticeRouter.for_source(relation)  # empty lattice
         decisions = []
         for _ in range(3):
             session = ExplainSession.from_lattice(
-                router, relation=relation, measure="m", explain_by=("a", "b")
+                router, relation, measure="m", explain_by=("a", "b")
             )
             assert session.prepared
             decisions.append(session.route_info.decision)

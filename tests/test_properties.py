@@ -9,8 +9,6 @@ vectorized cost path and the reference distance implementation.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +18,7 @@ from repro.ca.cascade import CascadingAnalysts, DrillDownTree
 from repro.core.config import ExplainConfig
 from repro.core.pipeline import ExplainPipeline
 from repro.core.smoothing import smooth_cube
-from repro.cube.datacube import ExplanationCube, merge_cubes
+from repro.cube.datacube import ExplanationCube
 from repro.diff.scorer import SegmentScorer
 from repro.segmentation.bruteforce import exhaustive_best_segmentation
 from repro.segmentation.distance import explanation_distance
@@ -258,64 +256,6 @@ def test_chunked_appends_match_single_append(data, aggregate):
     _assert_cubes_byte_identical(chunked, one_shot)
 
 
-@settings(max_examples=20, deadline=None)
-@given(data=streaming_relations(), aggregate=st.sampled_from(["sum", "avg"]))
-def test_merge_cubes_matches_one_shot_on_time_shards(data, aggregate):
-    """Merging cubes of time-disjoint shards equals the one-shot build."""
-    relation, dimensions, _ = data
-    positions, labels = relation.time_positions(None)
-    if len(labels) < 4:
-        return
-    cut = len(labels) // 2
-    left = relation.take(positions < cut)
-    right = relation.take(positions >= cut)
-    if len(set(right.column("t"))) < 1:
-        return
-    merged = merge_cubes(
-        ExplanationCube(left, dimensions, "m", aggregate=aggregate, max_order=2),
-        ExplanationCube(right, dimensions, "m", aggregate=aggregate, max_order=2),
-    )
-    one_shot = ExplanationCube(
-        relation, dimensions, "m", aggregate=aggregate, max_order=2
-    )
-    _assert_cubes_byte_identical(merged, one_shot)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    data=streaming_relations(),
-    aggregate=st.sampled_from(["sum", "count", "avg", "var"]),
-    n_shards=st.integers(1, 4),
-)
-def test_sharded_build_is_byte_identical_to_one_shot(data, aggregate, n_shards):
-    """Building time shards and folding them with ``merge_cubes`` == one-shot.
-
-    The rows are split into 1-4 contiguous time-label ranges.  Such shards
-    feed disjoint ``(group, time)`` buckets, so building each shard's cube
-    independently and merging them left in time order must reproduce the
-    exact bytes (candidate order, series arrays, supports) of a single
-    build over the whole relation.
-    """
-    relation, dimensions, _ = data
-    positions, labels = relation.time_positions(None)
-    ranges = np.array_split(np.arange(len(labels)), min(n_shards, len(labels)))
-    shards = [
-        relation.take((positions >= chunk[0]) & (positions <= chunk[-1]))
-        for chunk in ranges
-    ]
-    merged = functools.reduce(
-        merge_cubes,
-        [
-            ExplanationCube(shard, dimensions, "m", aggregate=aggregate, max_order=2)
-            for shard in shards
-        ],
-    )
-    one_shot = ExplanationCube(
-        relation, dimensions, "m", aggregate=aggregate, max_order=2
-    )
-    _assert_cubes_byte_identical(merged, one_shot)
-
-
 @settings(max_examples=10, deadline=None)
 @given(data=small_relations(), k=st.integers(2, 3))
 def test_optimal_k_plus_1_beats_every_single_split_refinement(data, k):
@@ -455,7 +395,7 @@ def test_lattice_routed_equals_direct_build(data, aggregate, smoothing, start_fr
     relation, dimensions = data
     specs = default_lattice(dimensions, "m", aggregate=aggregate, max_order=2)
     cubes, _ = build_lattice(relation, specs)
-    router = LatticeRouter.for_relation(relation)
+    router = LatticeRouter.for_source(relation)
     router.seed(cubes)
     for dims in [tuple(sorted(dimensions))] + [(d,) for d in dimensions]:
         routed, info = router.route(
@@ -471,7 +411,7 @@ def test_lattice_routed_equals_direct_build(data, aggregate, smoothing, start_fr
         config = config.updated(smoothing_window=smoothing)
     routed_session = ExplainSession.from_lattice(
         router,
-        relation=relation,
+        relation,
         measure="m",
         explain_by=dimensions,
         aggregate=aggregate,

@@ -8,7 +8,7 @@ import pytest
 from repro.cli import main
 from repro.core.config import ExplainConfig
 from repro.core.session import ExplainSession
-from repro.cube.cache import RollupCache
+from repro.cube.cache import RollupCache, cube_key
 from repro.cube.datacube import ExplanationCube
 from repro.datasets.registry import load_dataset
 from repro.exceptions import QueryError, ReproError, SchemaError
@@ -26,7 +26,6 @@ from repro.store import (
     load_or_build_from_source,
     parse_source_uri,
     resolve_source,
-    source_cube_key,
     write_npz,
     write_sqlite,
 )
@@ -484,10 +483,10 @@ class TestIngest:
     def test_source_key_distinct_from_relation_key(self, tmp_path, canonical):
         path = tmp_path / "snap.npz"
         write_npz(canonical, path)
-        key = source_cube_key(NpzSource(path), "sales", ["cat"])
+        key = cube_key(NpzSource(path), "sales", ["cat"])
         assert key.fingerprint.startswith("src-")
         assert key.explain_by == ("cat",)
-        again = source_cube_key(NpzSource(path), "sales", ["cat"])
+        again = cube_key(NpzSource(path), "sales", ["cat"])
         assert key == again
 
     def test_empty_source_raises(self, tmp_path):
@@ -579,10 +578,6 @@ class TestSessionFromSource:
         info = session.append(delta)
         assert info is not None and info.n_times == canonical.n_rows // 3 + 1
         assert session.relation.n_rows == canonical.n_rows + 2
-
-    def test_lazy_relation_requires_explicit_binding(self, canonical):
-        with pytest.raises(QueryError, match="explain_by"):
-            ExplainSession(lambda: canonical, measure="sales")
 
     def test_dataset_from_source_defaults(self, tmp_path, canonical):
         path = tmp_path / "snap.npz"
@@ -801,15 +796,12 @@ class TestReviewRegressions:
         with pytest.raises(SchemaError, match="row 12"):
             list(source.iter_chunks(chunk_rows=4))
 
-    def test_source_spec_loader_enforces_laziness(self):
-        spec = DatasetSpec.from_source("npz:whatever.npz")
-        with pytest.raises(QueryError, match="lazily"):
-            spec.loader()
-
     def test_one_shot_fallback_adopts_relation(self, tmp_path, canonical):
         path = tmp_path / "snap.npz"
-        write_npz(canonical, path)
-        session = ExplainSession.from_source(f"npz:{path}", out_of_core=False)
+        # Rows in reverse time order make the snapshot chunk-unsafe, so the
+        # build falls back to one read of the whole relation.
+        write_npz(canonical.take(np.arange(canonical.n_rows)[::-1]), path)
+        session = ExplainSession.from_source(f"npz:{path}")
         # The one-shot path materialized the relation; it must be adopted,
         # not thrown away and re-ingested on the first recommend().
         assert session.relation_loaded
