@@ -152,6 +152,7 @@ class DrillDownTree:
             range(len(conjs)), key=lambda node: -self._conjunctions[node].order
         )
         self._n_candidates = len(explanations)
+        self._is_flat = single_attribute(explanations)
 
     @property
     def n_nodes(self) -> int:
@@ -169,10 +170,7 @@ class DrillDownTree:
         one dimension and the top-m selection degenerates to "take the m
         highest scores" — a fully vectorizable fast path.
         """
-        return (
-            self.n_nodes == self._n_candidates + 1
-            and len(self._children[_ROOT]) == 1
-        )
+        return self._is_flat
 
     def conjunction(self, node: int) -> Conjunction:
         """The conjunction labelling a node."""
@@ -195,6 +193,19 @@ class DrillDownTree:
             f"DrillDownTree({self._n_candidates} candidates, "
             f"{self.n_nodes} nodes)"
         )
+
+
+def single_attribute(explanations: Sequence[Conjunction]) -> bool:
+    """Whether a duplicate-free candidate list is flat: at least one
+    candidate, every one of order 1, all on one attribute.
+
+    Exactly then the drill-down DAG is the root plus one dimension's
+    values (:attr:`DrillDownTree.is_flat`), so callers can decide
+    flatness without building the DAG.
+    """
+    if not explanations or any(conj.order != 1 for conj in explanations):
+        return False
+    return len({conj.items[0][0] for conj in explanations}) == 1
 
 
 def _proper_subconjunctions(conjunction: Conjunction) -> Iterator[Conjunction]:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
-from repro.ca.cascade import CascadingAnalysts, DrillDownTree
+from repro.ca.cascade import CascadingAnalysts, DrillDownTree, single_attribute
 from repro.ca.guess_verify import GuessAndVerify
 from repro.core.config import ExplainConfig
 from repro.core.result import ExplainResult, SegmentExplanation
@@ -109,36 +109,52 @@ def explain_call() -> Iterator[dict[str, float]]:
     timings["total"] = call.duration
 
 
+def solve_schemes(
+    costs: SegmentationCosts, k_max: int
+) -> dict[int, SegmentationScheme]:
+    """The K-segmentation DP: the optimal scheme for every feasible
+    K <= ``min(k_max, N - 1)``, keyed by K.
+
+    One pass fills every K (paper section 6), so nothing here depends on
+    which K a query asks for.
+    """
+    schemes = solve_k_segmentation(
+        costs.cost_matrix, k_max=min(k_max, costs.n_points - 1)
+    )
+    return {scheme.k: scheme for scheme in schemes}
+
+
+def pick_scheme(
+    by_k: dict[int, SegmentationScheme], n_points: int, k: int | None
+) -> tuple[SegmentationScheme, bool]:
+    """The scheme for ``k`` (``None``: the elbow of the K-variance curve).
+
+    Returns ``(scheme, k_was_auto)``; an infeasible ``k`` raises
+    :class:`~repro.exceptions.SegmentationError`.
+    """
+    if k is None:
+        ks = sorted(by_k)
+        return by_k[elbow_point(ks, [by_k[x].total_cost for x in ks])], True
+    if k > n_points - 1:
+        raise SegmentationError(f"k={k} infeasible for {n_points} candidate points")
+    if k not in by_k:
+        raise SegmentationError(f"no feasible scheme with k={k}")
+    return by_k[k], False
+
+
 def select_scheme(
     costs: SegmentationCosts, config: ExplainConfig
 ) -> tuple[SegmentationScheme, bool, dict[int, SegmentationScheme]]:
     """Solve the K-segmentation DP and pick K (fixed or elbow).
 
-    Returns ``(scheme, k_was_auto, by_k)``.  The one implementation both
-    :meth:`ExplainPipeline.run` and the streaming incremental path use, so
-    an incremental update can never pick a different K than a full re-run
-    over the same cost matrix.
+    Returns ``(scheme, k_was_auto, by_k)``.  The batch pipeline and the
+    streaming incremental path both go through :func:`solve_schemes` and
+    :func:`pick_scheme`, so an incremental update can never pick a
+    different K than a full re-run over the same cost matrix.
     """
-    k_cap = min(config.k_max, costs.n_points - 1)
-    requested_k = config.k
-    if requested_k is not None and requested_k > costs.n_points - 1:
-        raise SegmentationError(
-            f"k={requested_k} infeasible for {costs.n_points} candidate points"
-        )
-    schemes = solve_k_segmentation(
-        costs.cost_matrix, k_max=max(k_cap, requested_k or 1)
-    )
-    by_k = {scheme.k: scheme for scheme in schemes}
-    if requested_k is None:
-        ks = sorted(by_k)
-        chosen_k = elbow_point(ks, [by_k[k].total_cost for k in ks])
-        k_was_auto = True
-    else:
-        if requested_k not in by_k:
-            raise SegmentationError(f"no feasible scheme with k={requested_k}")
-        chosen_k = requested_k
-        k_was_auto = False
-    return by_k[chosen_k], k_was_auto, by_k
+    by_k = solve_schemes(costs, config.k_max)
+    scheme, k_was_auto = pick_scheme(by_k, costs.n_points, config.k)
+    return scheme, k_was_auto, by_k
 
 
 class ExplainPipeline:
@@ -284,14 +300,14 @@ class ExplainPipeline:
         """
         if scorer is None:
             scorer = self.prepare()
-        tree = DrillDownTree(scorer.cube.explanations)
-        if self._config.use_guess_verify and not tree.is_flat:
+        explanations = scorer.cube.explanations
+        if self._config.use_guess_verify and not single_attribute(explanations):
             return GuessAndVerify(
-                scorer.cube.explanations,
+                explanations,
                 m=self._config.m,
                 initial_guess=max(self._config.initial_guess, self._config.m),
             )
-        return CascadingAnalysts(tree, m=self._config.m)
+        return CascadingAnalysts(DrillDownTree(explanations), m=self._config.m)
 
     # ------------------------------------------------------------------
     # Full run
@@ -306,6 +322,17 @@ class ExplainPipeline:
 
     def _run(self, timings: dict[str, float]) -> ExplainResult:
         """The pipeline's work inside a caller's ``explain`` span."""
+        costs, by_k = self.solve()
+        return self.finish(costs, by_k, timings)
+
+    def solve(self) -> tuple[SegmentationCosts, dict[int, SegmentationScheme]]:
+        """Modules (b) and (c) up to the DP: the work no ``k`` depends on.
+
+        Returns the query's segment costs (phase II's, on a sketch) and
+        :func:`solve_schemes` over them.  :meth:`finish` turns the pair
+        into a result for any ``k``; a session keeps it to serve re-K
+        queries (:class:`~repro.core.session.ExplainSession`).
+        """
         config = self._config
         with span("precompute"):
             scorer = self.prepare()
@@ -335,10 +362,22 @@ class ExplainPipeline:
                 )
 
         with span("segment"):
-            scheme, k_was_auto, by_k = select_scheme(costs, config)
+            by_k = solve_schemes(costs, config.k_max)
+        return costs, by_k
 
+    def finish(
+        self,
+        costs: SegmentationCosts,
+        by_k: dict[int, SegmentationScheme],
+        timings: dict[str, float],
+    ) -> ExplainResult:
+        """Pick this pipeline's ``k`` among :meth:`solve`'s schemes and
+        assemble the result."""
         with span("finalize"):
-            return self._assemble(scorer, costs, scheme, k_was_auto, by_k, timings)
+            scheme, k_was_auto = pick_scheme(by_k, costs.n_points, self._config.k)
+            return self._assemble(
+                self.prepare(), costs, scheme, k_was_auto, by_k, timings
+            )
 
     # ------------------------------------------------------------------
     def _assemble(

@@ -20,7 +20,10 @@ matrices along the time axis (:meth:`ExplanationCube.slice_time` — views,
 no copy), then applies the per-query smoothing, support filter and
 difference metric.  Derived scorers are memoized in a per-session LRU keyed
 by the window and the run-tier configuration, so repeating an interactive
-query costs a dictionary lookup instead of a relation scan.
+query costs a dictionary lookup instead of a relation scan.  Each LRU entry
+also keeps the segment costs and DP schemes :meth:`ExplainSession.explain`
+solved on it (the costs memo, :data:`COSTS_FIELDS`), so a query that
+changes only ``k`` solves nothing at all.
 
 :class:`~repro.core.engine.TSExplain` remains as a thin facade delegating
 to one lazily-created session, so existing call sites keep working
@@ -29,8 +32,10 @@ unchanged.
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Sequence
 
 import numpy as np
@@ -55,6 +60,8 @@ from repro.store.uri import resolve_source
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lattice.router import LatticeRouter, RouteInfo
+    from repro.segmentation.dp import SegmentationScheme
+    from repro.segmentation.variance import SegmentationCosts
     from repro.store.ingest import IngestReport
 
 #: Derived (sliced/smoothed/filtered) scorers kept per session by default.
@@ -77,6 +84,50 @@ PREPARE_FIELDS = CUBE_FIELDS + ("cache_dir", "cache_max_entries")
 #: (``m``, ``k``, variance variant, O1/O2 flags) binds at solve time and
 #: shares the scorer.
 SCORER_FIELDS = ("smoothing_window", "use_filter", "filter_ratio", "metric")
+
+#: :class:`ExplainConfig` fields that shape a query's segment costs and
+#: its K-segmentation DP.  They key the costs memo hung on each scorer-LRU
+#: entry.  ``k`` is not among them: the DP holds the optimal scheme for
+#: every K up to ``k_max``, so a query that changes only ``k`` picks
+#: another scheme from the memo and solves nothing.
+COSTS_FIELDS = (
+    "m", "variant", "use_sketch", "sketch_length", "sketch_size",
+    "use_guess_verify", "initial_guess", "k_max",
+)
+
+#: Costs-memo entries kept live per session, least recently used dropped
+#: first.  One entry holds a window's segment costs, top-m results and
+#: solver: ~1 MiB on a 61–72-point window of 256 flat candidates.
+COSTS_MEMO_SIZE = 4
+
+
+@dataclass(eq=False)
+class _Solved:
+    """One costs-memo entry: a query's segment costs and DP schemes
+    (:meth:`ExplainPipeline.solve`), stamped when last used.
+
+    ``lock`` serializes the results assembled from it: assembly may
+    solve a segment lazily (``allpair`` variants), which fills the costs'
+    result cache and touches the solver's own caches.
+    """
+
+    costs: SegmentationCosts
+    by_k: dict[int, SegmentationScheme]
+    used: int
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
+@dataclass(eq=False)
+class _Derived:
+    """One scorer-LRU entry: a derived scorer and the costs memo hung on
+    it, keyed by :data:`COSTS_FIELDS`.
+
+    Whatever drops the entry (LRU eviction, :meth:`ExplainSession.append`,
+    :meth:`ExplainSession.adopt_snapshot`) drops its memo with it.
+    """
+
+    scorer: SegmentScorer
+    solved: dict[tuple, _Solved] = field(default_factory=dict)
 
 
 def window_relation(
@@ -107,12 +158,12 @@ def window_relation(
 class ExplainSession:
     """A prepared TSExplain query serving unlimited run-tier requests.
 
-    Sessions are **thread-safe**: the prepare tier, the scorer LRU and
-    streaming appends are serialized on an internal reentrant lock, while
-    the solve/segment tiers run lock-free on immutable derived scorers —
-    so the serving tier (:mod:`repro.serve`) shares one session across a
-    whole query thread pool, and concurrent first queries coalesce into a
-    single cube build.
+    Sessions are **thread-safe**: the prepare tier, the scorer LRU, its
+    costs memo and streaming appends are serialized on an internal
+    reentrant lock, while the solve/segment tiers run lock-free on
+    immutable derived scorers — so the serving tier (:mod:`repro.serve`)
+    shares one session across a whole query thread pool, and concurrent
+    first queries coalesce into a single cube build.
 
     Parameters
     ----------
@@ -193,7 +244,9 @@ class ExplainSession:
         self._series: TimeSeries | None = None
         self._cache_hit: bool | None = None
         self._scorer_cache_size = scorer_cache_size
-        self._scorers: OrderedDict[tuple, SegmentScorer] = OrderedDict()
+        self._scorers: OrderedDict[tuple, _Derived] = OrderedDict()
+        # Recency stamps of the costs-memo entries (COSTS_MEMO_SIZE).
+        self._ticks = itertools.count()
         self._last_result: ExplainResult | None = None
         # Sessions are shared across threads by the serving tier
         # (repro.serve): one reentrant lock serializes every mutation of
@@ -486,8 +539,8 @@ class ExplainSession:
                     first_changed = info.first_changed_position
                     stale = [
                         key
-                        for key, scorer in self._scorers.items()
-                        if key[1] >= first_changed or scorer.cube is self._cube
+                        for key, derived in self._scorers.items()
+                        if key[1] >= first_changed or derived.scorer.cube is self._cube
                     ]
                     for key in stale:
                         del self._scorers[key]
@@ -591,7 +644,7 @@ class ExplainSession:
             cached = self._scorers.get(key)
             if cached is not None:
                 self._scorers.move_to_end(key)
-                return cached
+                return cached.scorer
             with span("derive-scorer"):
                 cube = self.cube
                 if (start_pos, stop_pos) != (0, cube.n_times - 1):
@@ -608,7 +661,7 @@ class ExplainSession:
                     # still drops the LRU entries the delta invalidates).
                     cube = cube.detach(self._cube)
                 scorer = SegmentScorer(cube, config.metric)
-            self._scorers[key] = scorer
+            self._scorers[key] = _Derived(scorer)
             while len(self._scorers) > self._scorer_cache_size:
                 self._scorers.popitem(last=False)
             return scorer
@@ -632,10 +685,7 @@ class ExplainSession:
         silently ignored.
         """
         config = config or self._config
-        if any(
-            getattr(config, field) != getattr(self._config, field)
-            for field in PREPARE_FIELDS
-        ):
+        if self._overrides_prepare(config):
             relation = window_relation(self.relation, self._time_attr, start, stop)
             return ExplainPipeline(
                 relation,
@@ -676,13 +726,72 @@ class ExplainSession:
         The call is one ``explain`` span
         (:func:`~repro.core.pipeline.explain_call`): a cube build or scorer
         derivation it triggers is charged to its ``precomputation``.
+
+        A query the session serves from its prepared cube goes through the
+        costs memo of its scorer's LRU entry, keyed by ``COSTS_FIELDS``: a
+        repeat that changes only ``k`` builds no solver, sketch or DP and
+        only picks its scheme and assembles the result.
         """
+        config = config or self._config
         with explain_call() as timings:
-            # The heavy solve/segment tiers run outside the session lock,
-            # on the immutable scorer the pipeline was seeded with.
-            result = self.pipeline(start, stop, config)._run(timings)
+            if self._overrides_prepare(config):
+                result = self.pipeline(start, stop, config)._run(timings)
+            else:
+                result = self._explain_memoized(start, stop, config, timings)
         with self._lock:
             self._last_result = result
+        return result
+
+    def _overrides_prepare(self, config: ExplainConfig) -> bool:
+        """Whether ``config`` changes a prepare-tier field (``PREPARE_FIELDS``)."""
+        return any(
+            getattr(config, field) != getattr(self._config, field)
+            for field in PREPARE_FIELDS
+        )
+
+    def _explain_memoized(
+        self,
+        start: Hashable | None,
+        stop: Hashable | None,
+        config: ExplainConfig,
+        timings: dict[str, float],
+    ) -> ExplainResult:
+        """:meth:`explain` through the costs memo.
+
+        A miss solves outside the session lock, on the immutable scorer
+        the pipeline was seeded with, so concurrent queries overlap; its
+        entry is published only after its own result is assembled.  Hits
+        on one entry are serialized on the entry's lock.
+        """
+        key = tuple(getattr(config, field) for field in COSTS_FIELDS)
+        with self._lock:
+            pipeline = self.pipeline(start, stop, config)
+            scorer = pipeline.prepare()
+            # scorer() has just made this scorer's entry the LRU's newest.
+            derived = next(
+                held
+                for held in reversed(self._scorers.values())
+                if held.scorer is scorer
+            )
+            solved = derived.solved.get(key)
+            if solved is not None:
+                solved.used = next(self._ticks)
+        if solved is not None:
+            with solved.lock:
+                return pipeline.finish(solved.costs, solved.by_k, timings)
+        costs, by_k = pipeline.solve()
+        result = pipeline.finish(costs, by_k, timings)
+        with self._lock:
+            derived.solved.setdefault(key, _Solved(costs, by_k, next(self._ticks)))
+            # Keep the COSTS_MEMO_SIZE most recently used entries live.
+            live = [
+                (entry.used, held.solved, memo_key)
+                for held in self._scorers.values()
+                for memo_key, entry in held.solved.items()
+            ]
+            live.sort(key=lambda item: item[0])
+            for _, memo, memo_key in live[:-COSTS_MEMO_SIZE]:
+                del memo[memo_key]
         return result
 
     def top_explanations(

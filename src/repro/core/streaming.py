@@ -166,6 +166,12 @@ class StreamingExplainer:
         the derived scorers the append touched, so ad-hoc interactive
         queries between updates reuse the incrementally maintained cube.
         :meth:`refresh` replaces the session wholesale (full rebuild).
+
+        The session keeps one derived scorer.  Each update derives the
+        scorer of the grown full window; the previous full window ends
+        before the appended day, so the append leaves its scorer valid,
+        and a larger LRU would keep every superseded one — a copy of the
+        cube per update.
         """
         if self._session is None or self._session.relation is not self._relation:
             self._session = ExplainSession(
@@ -175,6 +181,7 @@ class StreamingExplainer:
                 aggregate=self._aggregate,
                 time_attr=self._time_attr,
                 config=self._config,
+                scorer_cache_size=1,
             )
         return self._session
 

@@ -170,6 +170,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY too, so a response never waits on the client's ACK of
+    # the one before it (see _write_body).
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 (stdlib casing)
@@ -281,8 +284,14 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header("Retry-After", str(retry_after))
         if trace_id is not None:
             self.send_header("X-Repro-Trace-Id", trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":
+            self.wfile.write(body)  # an HTTP/0.9 response has no head
+            return
+        # The status line, headers and body leave in one write: on a
+        # keep-alive connection a separate body write would wait for the
+        # client's delayed ACK of the headers (Nagle's algorithm).
+        self._headers_buffer.extend((b"\r\n", body))
+        self.flush_headers()
 
     def log_request(self, code="-", size="-") -> None:
         # Per-request lines are emitted by observe_request through the

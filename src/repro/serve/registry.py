@@ -121,9 +121,10 @@ def session_nbytes(session: ExplainSession) -> int:
     """Resident-size estimate of a prepared session, in bytes.
 
     Counts the dominant arrays: the finalized series matrices plus the
-    delta ledger's aggregate states.  Derived scorer-LRU entries are
-    bounded separately (per session) and excluded — the estimate drives
-    relative eviction order, not an allocator.  The detect tier's
+    delta ledger's aggregate states.  Derived scorer-LRU entries and the
+    costs-memo entries hung on them are bounded separately (per session)
+    and excluded — the estimate drives relative eviction order, not an
+    allocator.  The detect tier's
     baseline state is counted separately (:func:`detector_nbytes`) and
     folded into the entry estimate when a detector is built.
     """

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.ca.bruteforce import cascading_optimum, is_non_overlapping
-from repro.ca.cascade import CascadingAnalysts, DrillDownTree
+from repro.ca.cascade import CascadingAnalysts, DrillDownTree, single_attribute
 from repro.exceptions import ExplanationError
 from repro.relation.predicates import Conjunction
 
@@ -46,6 +46,31 @@ def test_virtual_ancestors_created():
     assert tree.n_candidates == 1
     assert tree.n_nodes == 4  # root, A=0, B=0, A=0&B=0
     assert tree.candidate_of(0) == -1
+
+
+def test_single_attribute_examples():
+    assert single_attribute([conj(A=a) for a in range(3)])
+    assert not single_attribute([])
+    assert not single_attribute([conj(A=0), conj(B=0)])
+    assert not single_attribute([conj(A=0), conj(A=1), conj(A=0, B=0)])
+    assert not single_attribute([conj(A=0, B=0)])
+
+
+_conjunctions = st.lists(
+    st.tuples(st.sampled_from("ABC"), st.integers(0, 2)),
+    min_size=1,
+    max_size=3,
+    unique_by=lambda item: item[0],
+).map(Conjunction.from_items)
+
+
+@settings(max_examples=200, deadline=None)
+@given(candidates=st.lists(_conjunctions, max_size=8, unique=True))
+def test_single_attribute_is_the_flat_dag(candidates):
+    tree = DrillDownTree(candidates)
+    # Flat means the DAG is the root over one dimension's candidates.
+    flat_shape = tree.n_nodes == len(candidates) + 1 and len(tree.children_of(0)) == 1
+    assert single_attribute(candidates) == tree.is_flat == flat_shape
 
 
 def test_duplicate_candidates_rejected():

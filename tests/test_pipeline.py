@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.ca.cascade import CascadingAnalysts, DrillDownTree
+from repro.ca.guess_verify import GuessAndVerify
+from repro.core import pipeline as pipeline_module
 from repro.core.config import ExplainConfig
 from repro.core.pipeline import ExplainPipeline
 from repro.exceptions import SegmentationError
@@ -85,6 +88,26 @@ def test_multi_attribute_pipeline_with_o1():
     # return either representation — both must constrain a=z.
     top = result.segments[1].explanations[0].explanation
     assert ("a", "z") in top.items
+
+
+def test_guess_and_verify_solver_builds_no_drill_down_tree(monkeypatch):
+    built = []
+
+    def counting_tree(explanations):
+        built.append(len(explanations))
+        return DrillDownTree(explanations)
+
+    monkeypatch.setattr(pipeline_module, "DrillDownTree", counting_tree)
+    hierarchical = ExplainPipeline(
+        two_attr_relation(), "m", ["a", "b"], config=ExplainConfig.optimized()
+    )
+    assert isinstance(hierarchical.solver(), GuessAndVerify)
+    assert built == []
+    flat = ExplainPipeline(
+        regime_relation(), "sales", ["cat"], config=ExplainConfig.optimized()
+    )
+    assert isinstance(flat.solver(), CascadingAnalysts)
+    assert built == [flat.prepare().cube.n_explanations]
 
 
 def test_sketch_mode_full_resolution_variance():

@@ -9,8 +9,12 @@ serve`` CLI verb end-to-end in a subprocess.
 
 from __future__ import annotations
 
+import http.client
 import json
 import re
+import socket
+import socketserver
+import statistics
 import subprocess
 import sys
 import threading
@@ -439,6 +443,66 @@ class TestHttpApi:
         )
         stats = _get_json(f"{app.url}/stats")
         assert stats["registry"]["misses"] == 1  # one cold build for 8 clients
+
+    def test_each_response_leaves_in_one_write(self, app, monkeypatch):
+        writes: list[bytes] = []
+        write = socketserver._SocketWriter.write
+
+        def recording_write(writer, data):
+            writes.append(bytes(data))
+            return write(writer, data)
+
+        monkeypatch.setattr(socketserver._SocketWriter, "write", recording_write)
+        connection = http.client.HTTPConnection(app.host, app.port, timeout=30)
+        try:
+            for path in ("/healthz", "/explain?dataset=regime", "/nope"):
+                connection.request("GET", path)
+                response = connection.getresponse()
+                body = response.read()
+                assert len(writes) == 1, (path, [len(w) for w in writes])
+                assert writes.pop().startswith(b"HTTP/1.1 ")
+                assert body and writes == []
+        finally:
+            connection.close()
+
+    def test_accepted_sockets_disable_nagle(self, app, monkeypatch):
+        from repro.serve.http import _Handler
+
+        flags: list[int] = []
+        setup = _Handler.setup
+
+        def recording_setup(handler):
+            setup(handler)
+            flags.append(
+                handler.connection.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            )
+
+        monkeypatch.setattr(_Handler, "setup", recording_setup)
+        assert _get_json(f"{app.url}/healthz")["ok"] is True
+        assert len(flags) == 1 and flags[0] != 0
+
+    def test_keep_alive_requests_do_not_wait_on_delayed_acks(self, app):
+        connection = http.client.HTTPConnection(app.host, app.port, timeout=30)
+        seconds = []
+        try:
+            for _ in range(21):
+                started = time.perf_counter()
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200 and response.read()
+                seconds.append(time.perf_counter() - started)
+        finally:
+            connection.close()
+        # The first request opens the connection; the rest reuse it.
+        assert statistics.median(seconds[1:]) < 0.010, seconds
+
+    def test_http_0_9_gets_a_bare_body(self, app):
+        with socket.create_connection((app.host, app.port), timeout=30) as client:
+            client.sendall(b"GET /healthz\r\n\r\n")
+            received = b""
+            while chunk := client.recv(65536):
+                received += chunk
+        assert json.loads(received.decode("utf-8"))["ok"] is True
 
     def test_make_app_assembles_bundled_registry(self, tmp_path):
         app = make_app(

@@ -57,6 +57,20 @@ def test_update_extends_series_and_keeps_old_cut(explainer):
     assert 12 in result.boundaries
 
 
+def test_the_stream_session_keeps_one_derived_scorer(explainer):
+    explainer.refresh()
+    for day in (24, 25, 26):
+        explainer.update(
+            rows_for([day], lambda t, cat: 10.0 + 5.0 * (t - 12) if cat == "b" else 7.0)
+        )
+    session = explainer.session()
+    assert session.cube.n_times == 27
+    # Each update's full-window scorer supersedes the previous one, which
+    # ends before the appended day and so survives the append.
+    assert len(session._scorers) == 1
+    assert [key[:2] for key in session._scorers] == [(0, 26)]
+
+
 def test_update_detects_new_regime(explainer):
     explainer.refresh()
     # Category c suddenly explodes: a new cut appears in the new region.
