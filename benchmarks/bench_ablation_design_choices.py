@@ -12,7 +12,7 @@ import numpy as np
 
 from repro.ca.guess_verify import GuessAndVerify
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import ExplainPipeline
+from repro.core.session import ExplainSession
 from repro.cube.datacube import ExplanationCube
 from repro.cube.filters import apply_support_filter
 from repro.diff.scorer import SegmentScorer
@@ -77,9 +77,9 @@ def bench_ablation_sketch_parameters(benchmark):
         for length, size in ((None, None), (10, 120), (20, 60), (40, 30)):
             config = ExplainConfig.o2(sketch_length=length, sketch_size=size)
             started = time.perf_counter()
-            result = ExplainPipeline(
+            result = ExplainSession(
                 ds.relation, ds.measure, ds.explain_by, config=config
-            ).run()
+            ).explain()
             rows.append(
                 (
                     length or "auto",
@@ -107,9 +107,9 @@ def bench_ablation_top_m(benchmark):
         rows = []
         for m in (1, 2, 3, 5):
             config = with_smoothing(ds, ExplainConfig.optimized(m=m))
-            result = ExplainPipeline(
+            result = ExplainSession(
                 ds.relation, ds.measure, ds.explain_by, config=config
-            ).run()
+            ).explain()
             rows.append((m, result.k, list(result.cuts)))
         return rows
 

@@ -7,7 +7,7 @@ Three claims are measured on a synthetic dataset:
    reimplementation of the row-at-a-time build by >= 5x while producing
    numerically identical included/excluded series;
 2. a warm rollup cache turns ``explain()``'s prepare phase into a disk
-   load that skips the build entirely (``pipeline.cache_hit``);
+   load that skips the build entirely (``session.cache_hit``);
 3. cached and uncached runs return **byte-identical** top-k explanations
    (``float.hex`` comparison, no tolerance).
 """
@@ -18,7 +18,7 @@ import time
 import numpy as np
 
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import ExplainPipeline
+from repro.core.session import ExplainSession
 from repro.cube.datacube import ExplanationCube
 from repro.cube.explanations import enumerate_candidates
 from repro.datasets.synthetic import generate_synthetic
@@ -100,22 +100,22 @@ def bench_cube_build(benchmark):
     with tempfile.TemporaryDirectory() as cache_dir:
         config = ExplainConfig(k=synthetic.k, cache_dir=cache_dir)
 
-        uncached = ExplainPipeline(
+        uncached = ExplainSession(
             relation, measure, explain_by, config=config.updated(cache_dir=None)
-        ).run()
+        ).explain()
 
-        cold_pipeline = ExplainPipeline(relation, measure, explain_by, config=config)
+        cold_session = ExplainSession(relation, measure, explain_by, config=config)
         started = time.perf_counter()
-        cold = cold_pipeline.run()
+        cold = cold_session.explain()
         cold_seconds = time.perf_counter() - started
 
-        warm_pipeline = ExplainPipeline(relation, measure, explain_by, config=config)
+        warm_session = ExplainSession(relation, measure, explain_by, config=config)
         started = time.perf_counter()
-        warm = warm_pipeline.run()
+        warm = warm_session.explain()
         warm_seconds = time.perf_counter() - started
 
-    assert cold_pipeline.cache_hit is False
-    assert warm_pipeline.cache_hit is True  # the build was skipped entirely
+    assert cold_session.cache_hit is False
+    assert warm_session.cache_hit is True  # the build was skipped entirely
     assert (
         _top_k_fingerprint(uncached)
         == _top_k_fingerprint(cold)

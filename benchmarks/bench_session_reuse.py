@@ -19,8 +19,7 @@ import time
 
 from repro.core.config import ExplainConfig
 from repro.core.engine import TSExplain
-from repro.core.pipeline import ExplainPipeline
-from repro.core.session import ExplainSession, window_relation
+from repro.core.session import ExplainSession
 from repro.datasets.synthetic import generate_synthetic
 from support import emit, is_paper_scale
 
@@ -83,12 +82,10 @@ def bench_session_reuse(benchmark):
     speedup = cold_best / warm_best
 
     # --- the legacy path: filter the relation, rebuild the cube ---------
-    legacy = ExplainPipeline(
-        window_relation(relation, None, start, stop),
-        measure,
-        explain_by,
-        config=config,
-    ).run()
+    positions, time_labels = relation.time_positions(None)
+    first, last = time_labels.index(start), time_labels.index(stop)
+    windowed = relation.take((positions >= first) & (positions <= last))
+    legacy = ExplainSession(windowed, measure, explain_by, config=config).explain()
 
     # --- identical answers, byte for byte -------------------------------
     warm_print = _top_k_fingerprint(warm_result)

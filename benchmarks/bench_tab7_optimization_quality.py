@@ -6,21 +6,21 @@ the Covid datasets with cut points shifted by at most four days.
 """
 
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import ExplainPipeline
+from repro.core.session import ExplainSession
 from support import emit, real_dataset, with_smoothing
 
 DATASETS = ("covid-total", "covid-daily", "sp500", "liquor")
 
 
 def _run(ds, config):
-    pipeline = ExplainPipeline(
+    session = ExplainSession(
         ds.relation,
         ds.measure,
         ds.explain_by,
         aggregate=ds.aggregate,
         config=with_smoothing(ds, config),
     )
-    return pipeline.run()
+    return session.explain()
 
 
 def bench_tab7_optimization_quality(benchmark):

@@ -1,11 +1,27 @@
-"""Legacy setup shim.
+"""Package metadata for ``repro``.
 
-The execution environment has no network access and an older setuptools
-without the ``wheel`` package, so PEP 517 editable installs fail; this shim
-lets ``pip install -e . --no-build-isolation`` use the legacy code path.
-All metadata lives in ``pyproject.toml``.
+The editable install ``pip install -e . --no-build-isolation`` runs this
+file through setuptools' legacy path, which needs the ``wheel`` package.
+Without it, skip installation and run everything with ``PYTHONPATH=src``.
+The version is read from ``src/repro/__init__.py``, its one definition.
 """
 
-from setuptools import setup
+import re
+from pathlib import Path
 
-setup()
+from setuptools import find_packages, setup
+
+INIT = Path(__file__).resolve().parent / "src" / "repro" / "__init__.py"
+VERSION = re.search(
+    r'^__version__ = "([^"]+)"', INIT.read_text(encoding="utf-8"), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=VERSION,
+    description="TSExplain: explaining aggregated time series by surfacing evolving contributors",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.10",
+    install_requires=["numpy"],
+)

@@ -3,11 +3,10 @@
 from repro.core.config import ExplainConfig
 from repro.core.engine import TSExplain
 from repro.core.hints import SegmentHint, drill_down, variance_hints
-from repro.core.pipeline import ExplainPipeline
 from repro.core.recommend import AttributeScore, recommend_explain_by
 from repro.core.result import ExplainResult, SegmentExplanation
 from repro.core.seasonal import Decomposition, decompose
-from repro.core.session import ExplainQuery, ExplainSession, window_relation
+from repro.core.session import ExplainQuery, ExplainSession
 from repro.core.smoothing import moving_average, smooth_cube, smooth_series
 from repro.core.streaming import StreamingExplainer
 
@@ -15,7 +14,6 @@ __all__ = [
     "AttributeScore",
     "Decomposition",
     "ExplainConfig",
-    "ExplainPipeline",
     "ExplainQuery",
     "ExplainResult",
     "ExplainSession",
@@ -30,5 +28,4 @@ __all__ = [
     "smooth_cube",
     "smooth_series",
     "variance_hints",
-    "window_relation",
 ]

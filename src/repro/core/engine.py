@@ -27,7 +27,7 @@ from typing import Hashable, Sequence
 
 from repro.core.config import ExplainConfig
 from repro.core.result import ExplainResult
-from repro.core.session import ExplainSession, window_relation
+from repro.core.session import ExplainSession
 from repro.diff.scorer import ScoredExplanation
 from repro.relation.table import Relation
 from repro.relation.timeseries import TimeSeries
@@ -156,14 +156,3 @@ class TSExplain:
     def last_result(self) -> ExplainResult | None:
         """The most recent :meth:`explain` result, if any."""
         return self._last_result
-
-    # ------------------------------------------------------------------
-    def _window(self, start: Hashable | None, stop: Hashable | None) -> Relation:
-        """Restrict the relation to rows whose time label lies in a window.
-
-        Kept for backwards compatibility; windowed queries no longer
-        filter the relation (they slice the session's cube), but callers
-        that need a restricted *relation* get the vectorized positional
-        mask instead of the old per-label membership scan.
-        """
-        return window_relation(self._relation, self._time_attr, start, stop)

@@ -38,10 +38,15 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Hashable, Sequence
 
-import numpy as np
-
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import ExplainPipeline, explain_call, prepare_cube
+from repro.core.pipeline import (
+    assemble,
+    explain_call,
+    make_solver,
+    pick_scheme,
+    prepare_cube,
+    solve,
+)
 from repro.core.recommend import AttributeScore, recommend_explain_by
 from repro.core.result import ExplainResult
 from repro.core.smoothing import smooth_cube
@@ -74,9 +79,9 @@ CUBE_FIELDS = ("max_order", "deduplicate")
 
 #: All prepare-tier fields: the cube-shaping ones plus the prepare
 #: *mechanics* (cache persistence).  A per-call config that changes any
-#: of these makes :meth:`ExplainSession.pipeline` fall back to a fresh
-#: legacy build, preserving the pre-session semantics — e.g. a one-off
-#: ``cache_dir`` override still builds and stores on disk.
+#: of these is served by a one-off session over the same data with that
+#: config, which prepares its own cube — so a one-off ``cache_dir``
+#: override still builds and stores on disk.
 PREPARE_FIELDS = CUBE_FIELDS + ("cache_dir", "cache_max_entries")
 
 #: :class:`ExplainConfig` fields that select a derived scorer.  Together
@@ -104,7 +109,7 @@ COSTS_MEMO_SIZE = 4
 @dataclass(eq=False)
 class _Solved:
     """One costs-memo entry: a query's segment costs and DP schemes
-    (:meth:`ExplainPipeline.solve`), stamped when last used.
+    (:func:`~repro.core.pipeline.solve`), stamped when last used.
 
     ``lock`` serializes the results assembled from it: assembly may
     solve a segment lazily (``allpair`` variants), which fills the costs'
@@ -130,29 +135,20 @@ class _Derived:
     solved: dict[tuple, _Solved] = field(default_factory=dict)
 
 
-def window_relation(
-    relation: Relation,
-    time_attr: str | None,
-    start: Hashable | None,
-    stop: Hashable | None,
-) -> Relation:
-    """Rows whose time label lies in ``[start, stop]`` (both inclusive).
-
-    Vectorized: the time column is factorized once and rows are selected
-    with a single positional range mask — O(n) with no per-label Python
-    membership test.  This is the legacy restriction path, needed only
-    when a relation (not a cube) must be windowed, e.g. for a per-call
-    prepare-tier override.
-    """
-    if start is None and stop is None:
-        return relation
-    positions, labels = relation.time_positions(time_attr)
-    series = TimeSeries(np.zeros(len(labels)), labels)
-    start_pos = series.position_of(start) if start is not None else 0
-    stop_pos = series.position_of(stop) if stop is not None else len(labels) - 1
-    if start_pos >= stop_pos:
-        raise QueryError("window must contain at least two time points")
-    return relation.take((positions >= start_pos) & (positions <= stop_pos))
+def _finish(
+    scorer: SegmentScorer,
+    costs: SegmentationCosts,
+    by_k: dict[int, SegmentationScheme],
+    config: ExplainConfig,
+    epsilon: int,
+    timings: dict[str, float],
+) -> ExplainResult:
+    """Pick ``config.k`` among a solve's schemes and assemble its result."""
+    with span("finalize"):
+        scheme, k_was_auto = pick_scheme(by_k, costs.n_points, config.k)
+        return assemble(
+            scorer, costs, scheme, k_was_auto, by_k, config, epsilon, timings
+        )
 
 
 class ExplainSession:
@@ -279,9 +275,9 @@ class ExplainSession:
         append contract gets a one-shot read).
 
         The relation itself stays lazy: operations that need rows
-        (:meth:`recommend`, :meth:`append`, prepare-tier config
-        overrides) read it on first use — check :attr:`relation_loaded`,
-        and :attr:`ingest_report` for what the prepare actually did.
+        (:meth:`recommend`, :meth:`append`) read it on first use — check
+        :attr:`relation_loaded`, and :attr:`ingest_report` for what the
+        prepare actually did.
         """
         return cls(source, **kwargs).prepare()
 
@@ -322,7 +318,7 @@ class ExplainSession:
         )
         cube, info = router.route(spec)
         if cube is not None:
-            session.adopt_snapshot(None, cube)
+            session.adopt_snapshot(cube)
         else:
             router.record_build(spec, session.prepare().cube)
         session._route_info = info
@@ -447,8 +443,8 @@ class ExplainSession:
         The data component is the bound source's cache fingerprint: a
         relation's content fingerprint, or ``src-`` plus a source's
         fingerprint.  :meth:`prepare` looks the cube up and stores it
-        under this key; the serving tier adopts a memory-mapped entry by
-        it, and a stream anchors its chained snapshot keys on it.
+        under this key, and the serving tier adopts a memory-mapped entry
+        by it.
         """
         return cube_key(
             self._source,
@@ -553,17 +549,13 @@ class ExplainSession:
         self._source = RelationSource(new_relation)
         return info
 
-    def adopt_snapshot(self, relation: Relation | None, cube: ExplanationCube) -> None:
-        """Replace the session's relation and prepared cube wholesale.
+    def adopt_snapshot(self, cube: ExplanationCube) -> None:
+        """Install an already-built cube of this session's data.
 
-        The streaming fast-forward path uses this when a later snapshot of
-        the stream is already in the rollup cache (base fingerprint +
-        append log): instead of re-scattering every delta, the session
-        jumps straight to the cached cube.  All derived scorers are
-        dropped, and :attr:`cache_hit` reads ``True``.
-        ``relation=None`` keeps the current binding — a lattice route or
-        the serving tier's cache adopt installs a cube this way without
-        materializing a source's (lazy) relation.
+        A lattice route and the serving tier's cache adopt install a cube
+        this way, keeping the data binding and without materializing a
+        source's (lazy) relation.  All derived scorers are dropped, and
+        :attr:`cache_hit` reads ``True``.
         """
         if (
             cube.measure != self._measure
@@ -574,9 +566,6 @@ class ExplainSession:
                 "adopted cube was built for a different query than this session"
             )
         with self._lock:
-            if relation is not None:
-                self._relation = relation
-                self._source = RelationSource(relation)
             self._cube = cube
             self._scorers.clear()
             self._series = None
@@ -615,8 +604,8 @@ class ExplainSession:
         interactive queries share one derivation.  A config whose
         cube-shaping fields (``CUBE_FIELDS``) differ from the session's
         is rejected — the prepared cube cannot represent it; open a new
-        session (or go through :meth:`explain`, which falls back to a
-        fresh build) instead.
+        session (or go through :meth:`explain`, which serves it from a
+        one-off session) instead.
         """
         config = config or self._config
         mismatched = [
@@ -666,44 +655,6 @@ class ExplainSession:
                 self._scorers.popitem(last=False)
             return scorer
 
-    def pipeline(
-        self,
-        start: Hashable | None = None,
-        stop: Hashable | None = None,
-        config: ExplainConfig | None = None,
-    ) -> ExplainPipeline:
-        """An :class:`ExplainPipeline` seeded with this session's scorer.
-
-        The returned pipeline's prepare phase is already done — its
-        :meth:`~ExplainPipeline.prepare` hands back the derived scorer —
-        so callers pay only the solve/segment tiers.  A per-call ``config``
-        that changes any prepare-tier field (``PREPARE_FIELDS``) falls
-        back to a fresh legacy pipeline over the windowed relation: a
-        different ``max_order``/``deduplicate`` cannot be served from the
-        session's cube at all, and a one-off ``cache_dir`` must keep its
-        pre-session side effect (the on-disk store) rather than being
-        silently ignored.
-        """
-        config = config or self._config
-        if self._overrides_prepare(config):
-            relation = window_relation(self.relation, self._time_attr, start, stop)
-            return ExplainPipeline(
-                relation,
-                self._measure,
-                self._explain_by,
-                aggregate=self._aggregate,
-                time_attr=self._time_attr,
-                config=config,
-            )
-        with self._lock:
-            scorer = self.scorer(start, stop, config)
-            return ExplainPipeline.from_scorer(
-                scorer,
-                config,
-                epsilon=self.cube.n_explanations,
-                cache_hit=self._cache_hit,
-            )
-
     def explain(
         self,
         start: Hashable | None = None,
@@ -721,23 +672,53 @@ class ExplainSession:
         config:
             One-off configuration override for this call (replaces, not
             merges with, the session config — the
-            :class:`~repro.core.engine.TSExplain` contract).
+            :class:`~repro.core.engine.TSExplain` contract).  One that
+            changes a prepare-tier field (``PREPARE_FIELDS``) is served by
+            a one-off session over the same data with that config
+            (:meth:`_one_off`): a different ``max_order``/``deduplicate``
+            cannot be served from this session's cube, and a one-off
+            ``cache_dir`` keeps its on-disk store.
 
         The call is one ``explain`` span
         (:func:`~repro.core.pipeline.explain_call`): a cube build or scorer
         derivation it triggers is charged to its ``precomputation``.
 
-        A query the session serves from its prepared cube goes through the
-        costs memo of its scorer's LRU entry, keyed by ``COSTS_FIELDS``: a
-        repeat that changes only ``k`` builds no solver, sketch or DP and
-        only picks its scheme and assembles the result.
+        A query goes through the costs memo of its scorer's LRU entry,
+        keyed by ``COSTS_FIELDS``: a repeat that changes only ``k`` builds
+        no solver, sketch or DP and only picks its scheme and assembles
+        the result.  A miss solves outside the session lock, on the
+        immutable derived scorer, so concurrent queries overlap; its entry
+        is published only after its own result is assembled.  Hits on one
+        entry are serialized on the entry's lock.
         """
         config = config or self._config
-        with explain_call() as timings:
-            if self._overrides_prepare(config):
-                result = self.pipeline(start, stop, config)._run(timings)
-            else:
-                result = self._explain_memoized(start, stop, config, timings)
+        if self._overrides_prepare(config):
+            result = self._one_off(config).explain(start, stop)
+        else:
+            key = tuple(getattr(config, field) for field in COSTS_FIELDS)
+            with explain_call() as timings:
+                with self._lock:
+                    scorer = self.scorer(start, stop, config)
+                    epsilon = self.cube.n_explanations
+                    # scorer() has just made this scorer's entry the LRU's
+                    # newest.
+                    derived = next(
+                        held
+                        for held in reversed(self._scorers.values())
+                        if held.scorer is scorer
+                    )
+                    solved = derived.solved.get(key)
+                    if solved is not None:
+                        solved.used = next(self._ticks)
+                if solved is not None:
+                    with solved.lock:
+                        result = _finish(
+                            scorer, solved.costs, solved.by_k, config, epsilon, timings
+                        )
+                else:
+                    costs, by_k = solve(scorer, config)
+                    result = _finish(scorer, costs, by_k, config, epsilon, timings)
+                    self._memoize(derived, key, costs, by_k)
         with self._lock:
             self._last_result = result
         return result
@@ -749,41 +730,33 @@ class ExplainSession:
             for field in PREPARE_FIELDS
         )
 
-    def _explain_memoized(
-        self,
-        start: Hashable | None,
-        stop: Hashable | None,
-        config: ExplainConfig,
-        timings: dict[str, float],
-    ) -> ExplainResult:
-        """:meth:`explain` through the costs memo.
+    def _one_off(self, config: ExplainConfig) -> "ExplainSession":
+        """A session over this one's data with a prepare-tier override.
 
-        A miss solves outside the session lock, on the immutable scorer
-        the pipeline was seeded with, so concurrent queries overlap; its
-        entry is published only after its own result is assembled.  Hits
-        on one entry are serialized on the entry's lock.
+        It prepares its own cube through the one cache-or-build path and
+        leaves this session's cube and scorer LRU untouched.
         """
-        key = tuple(getattr(config, field) for field in COSTS_FIELDS)
-        with self._lock:
-            pipeline = self.pipeline(start, stop, config)
-            scorer = pipeline.prepare()
-            # scorer() has just made this scorer's entry the LRU's newest.
-            derived = next(
-                held
-                for held in reversed(self._scorers.values())
-                if held.scorer is scorer
-            )
-            solved = derived.solved.get(key)
-            if solved is not None:
-                solved.used = next(self._ticks)
-        if solved is not None:
-            with solved.lock:
-                return pipeline.finish(solved.costs, solved.by_k, timings)
-        costs, by_k = pipeline.solve()
-        result = pipeline.finish(costs, by_k, timings)
+        return ExplainSession(
+            self._source,
+            self._measure,
+            self._explain_by,
+            aggregate=self._aggregate,
+            time_attr=self._time_attr,
+            config=config,
+            chunk_rows=self._chunk_rows,
+        )
+
+    def _memoize(
+        self,
+        derived: _Derived,
+        key: tuple,
+        costs: SegmentationCosts,
+        by_k: dict[int, SegmentationScheme],
+    ) -> None:
+        """Publish a costs-memo entry, keeping the ``COSTS_MEMO_SIZE`` most
+        recently used entries live."""
         with self._lock:
             derived.solved.setdefault(key, _Solved(costs, by_k, next(self._ticks)))
-            # Keep the COSTS_MEMO_SIZE most recently used entries live.
             live = [
                 (entry.used, held.solved, memo_key)
                 for held in self._scorers.values()
@@ -792,7 +765,6 @@ class ExplainSession:
             live.sort(key=lambda item: item[0])
             for _, memo, memo_key in live[:-COSTS_MEMO_SIZE]:
                 del memo[memo_key]
-        return result
 
     def top_explanations(
         self,
@@ -808,15 +780,17 @@ class ExplainSession:
         non-overlapping explanations of their difference — a single
         O(epsilon) gather against the prepared cube.  ``config`` is a
         one-off override for this call (the builder's
-        :meth:`ExplainQuery.top_explanations` routes through it); ``m``
+        :meth:`ExplainQuery.top_explanations` routes through it, and a
+        prepare-tier one is served as in :meth:`explain`); ``m``
         overrides the explanation quota on top of it.
         """
         config = config or self._config
         if m is not None:
             config = config.updated(m=m)
-        pipeline = self.pipeline(config=config)
-        scorer = pipeline.prepare()
-        solver = pipeline.solver(scorer)
+        if self._overrides_prepare(config):
+            return self._one_off(config).top_explanations(start, stop)
+        scorer = self.scorer(config=config)
+        solver = make_solver(scorer, config)
         series = scorer.cube.overall_series()
         start_pos = series.position_of(start)
         stop_pos = series.position_of(stop)

@@ -49,19 +49,9 @@ incremental path refuses (it raises
 timestamps before the stream's end).
 
 With :attr:`~repro.core.config.ExplainConfig.cache_dir` configured, the
-stream persists every snapshot under a **chained key**: the base
-relation is fingerprinted once (at :meth:`refresh`), and each update
-folds only its delta's fingerprint into the previous key
-(:func:`~repro.cube.cache.chain_fingerprint`) — so per-update *hashing*
-is O(delta), never a whole-relation hash.  The snapshot **write** itself
-is still proportional to the cube (an uncompressed write of the series
-arrays and the append ledger) and only pays off on replay: leave
-``cache_dir`` unset for high-frequency streams that are never replayed,
-and pair it with ``cache_max_entries`` on long-running ones to bound the
-directory.  The base key and delta sequence are persisted in an
-:class:`~repro.cube.cache.AppendLog`; a restarted stream that replays
-the same base and deltas *fast-forwards* through the cached snapshots
-instead of re-appending.
+stream's session loads or stores its base cube through its one prepare
+path (:meth:`~repro.core.session.ExplainSession.prepare`); updates append
+in memory and write nothing.
 """
 
 from __future__ import annotations
@@ -71,17 +61,9 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import explain_call, select_scheme
+from repro.core.pipeline import assemble, explain_call, make_solver, select_scheme
 from repro.core.result import ExplainResult
 from repro.core.session import ExplainSession
-from repro.cube.cache import (
-    AppendLog,
-    CubeKey,
-    RollupCache,
-    chain_fingerprint,
-    chained_key,
-)
-from repro.cube.datacube import ExplanationCube
 from repro.cube.delta import AppendInfo
 from repro.diff.scorer import SegmentScorer
 from repro.exceptions import QueryError, SegmentationError
@@ -102,8 +84,7 @@ class StreamingExplainer:
         Initial rows (new rows arrive via :meth:`update`).
     measure / explain_by / aggregate / time_attr / config:
         As in :class:`~repro.core.engine.TSExplain`.  ``config.cache_dir``
-        enables the chained snapshot cache described in the module
-        docstring.
+        makes the session load or store the base cube (module docstring).
     resegment:
         ``"pinned"`` (paper schedule: previous cuts + new points) or
         ``"full"`` (all points; byte-identical to :meth:`refresh` when
@@ -134,15 +115,6 @@ class StreamingExplainer:
         self._result: ExplainResult | None = None
         self._session: ExplainSession | None = None
         self._costs: SegmentationCosts | None = None
-        self._cache = (
-            RollupCache(self._config.cache_dir, max_entries=self._config.cache_max_entries)
-            if self._config.cache_dir
-            else None
-        )
-        self._base_key: CubeKey | None = None
-        self._chain_fp: str | None = None
-        self._log: AppendLog | None = None
-        self._updates = 0
 
     @property
     def result(self) -> ExplainResult | None:
@@ -191,20 +163,11 @@ class StreamingExplainer:
 
         The executable specification of :meth:`update`: the session, its
         cube and the incremental cost structures are discarded and rebuilt
-        from the relation by the batch pipeline.  With a cache configured
-        this is also the one place the stream pays a whole-relation
-        fingerprint — it anchors the chained snapshot keys and resets the
-        append log position.
+        from the relation by the batch pipeline.
         """
         self._session = None
         self._costs = None
-        session = self.session()
-        self._result = session.explain()
-        if self._cache is not None:
-            self._base_key = session.cube_key()
-            self._chain_fp = self._base_key.fingerprint
-            self._log = AppendLog(self._cache.directory, self._base_key)
-            self._updates = 0
+        self._result = self.session().explain()
         return self._result
 
     # ------------------------------------------------------------------
@@ -227,59 +190,29 @@ class StreamingExplainer:
             return self.refresh()
         if new_rows.n_rows == 0:
             # A poll tick with no new rows is a cheap no-op: the cached
-            # result stands, the session's scorer LRU and the chained
-            # snapshot key are untouched (an empty delta folded into the
-            # chain would fork the fingerprint away from a replay that
-            # never saw the empty tick), and no pipeline re-run is paid.
+            # result stands, the session's scorer LRU is untouched, and no
+            # re-run is paid.
             return self._result
+        config = self._config
         with explain_call() as timings:
             session = self.session()
             with span("cube-append"):
-                info = self._apply_delta(session, new_rows)
+                info = session.append(new_rows)
             self._relation = session.relation
 
-            pipeline = session.pipeline()
+            scorer = session.scorer()
             with span("precompute"):
-                scorer = pipeline.prepare()
-                solver = pipeline.solver(scorer)
+                solver = make_solver(scorer, config)
             costs = self._grow_costs(scorer, solver, info)
-            scheme, k_was_auto, by_k = select_scheme(costs, self._config)
-            self._result = pipeline._assemble(
-                scorer, costs, scheme, k_was_auto, by_k, timings
+            scheme, k_was_auto, by_k = select_scheme(costs, config)
+            epsilon = session.cube.n_explanations
+            self._result = assemble(
+                scorer, costs, scheme, k_was_auto, by_k, config, epsilon, timings
             )
         self._costs = costs
         return self._result
 
     # ------------------------------------------------------------------
-    def _apply_delta(self, session: ExplainSession, delta: Relation) -> AppendInfo | None:
-        """Append the delta to the session, via the chained cache if set."""
-        if self._cache is None or self._base_key is None or self._chain_fp is None:
-            return session.append(delta)
-        position = self._updates
-        delta_fp = delta.fingerprint()
-        matched = self._log.align(position, delta_fp) if self._log is not None else False
-        next_fp = chain_fingerprint(self._chain_fp, delta_fp)
-        key = chained_key(self._base_key, next_fp)
-        info: AppendInfo | None = None
-        if matched:
-            cached = self._cache.load(key)
-            if cached is not None and cached.appendable and session.prepared:
-                # Fast-forward: this snapshot was already built by an
-                # earlier run of the same stream.
-                info = _adopt_info(session.cube, cached, delta)
-                session.adopt_snapshot(session.relation.concat(delta), cached)
-        if info is None:
-            info = session.append(delta)
-            if info is not None:
-                try:
-                    self._cache.store(key, session.cube)
-                except (TypeError, OSError):
-                    # An unpersistable snapshot never fails the stream.
-                    pass
-        self._chain_fp = next_fp
-        self._updates += 1
-        return info
-
     def _grow_costs(
         self,
         scorer: SegmentScorer,
@@ -321,41 +254,3 @@ class StreamingExplainer:
             variant=config.variant,
             cut_positions=positions,
         )
-
-
-def _adopt_info(
-    old_cube: ExplanationCube, cached: ExplanationCube, delta: Relation
-) -> AppendInfo:
-    """Reconstruct what an in-memory append *would* have reported.
-
-    Used on the fast-forward path, where the appended snapshot comes from
-    the cache instead of scattering the delta — the re-segmentation still
-    needs to know which positions changed and whether candidates did.
-    """
-    state = cached.append_state
-    time_attr = state.time_attr if state is not None else None
-    old_positions = {label: pos for pos, label in enumerate(old_cube.labels)}
-    touched = sorted(
-        {
-            old_positions[label]
-            for label in (
-                _as_python(value)
-                for value in np.unique(delta.column(time_attr))
-            )
-            if label in old_positions
-        }
-    )
-    old_n = old_cube.n_times
-    return AppendInfo(
-        n_rows=delta.n_rows,
-        old_n_times=old_n,
-        n_times=cached.n_times,
-        new_labels=tuple(cached.labels[old_n:]),
-        touched_positions=tuple(touched),
-        first_changed_position=touched[0] if touched else old_n,
-        candidates_changed=old_cube.explanations != cached.explanations,
-    )
-
-
-def _as_python(value):
-    return value.item() if hasattr(value, "item") else value

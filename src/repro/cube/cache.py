@@ -61,16 +61,11 @@ resident copy per dataset.  Format 3 is this layout; entries of older
 formats (format 2 was the same payload ``np.savez_compressed``-ed) read
 as misses and are rebuilt.
 
-Streaming replay (chain keys + append log)
-------------------------------------------
-Streaming snapshots cannot afford a whole-relation fingerprint per
-update.  Instead, a stream derives each snapshot's key from its
-predecessor: :func:`chain_fingerprint` hashes ``(previous fingerprint,
-delta fingerprint)``, so only the O(delta) delta rows are hashed per
-update.  :class:`AppendLog` persists the base key plus the delta
-fingerprint sequence next to the cache entries; a replayed stream whose
-base and deltas match the log fast-forwards by loading the chained
-entries instead of re-appending.
+Streams
+-------
+A stream (:class:`~repro.core.streaming.StreamingExplainer`) reaches the
+cache only through its session's prepare, which loads or stores the base
+cube under the key above; its updates append in memory and store nothing.
 """
 
 from __future__ import annotations
@@ -79,7 +74,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
 
@@ -147,8 +142,7 @@ def cube_key_for_fingerprint(
     Normalizes the query parameters exactly like :func:`cube_key` (the
     aggregate resolves to its registry name, ``explain_by`` is sorted)
     but takes the fingerprint as a string: the lattice keys its rollups
-    this way, and the streaming chain keys (:func:`chain_fingerprint`)
-    live in the same namespace.
+    this way.
     """
     if isinstance(aggregate, str):
         aggregate = get_aggregate(aggregate)
@@ -569,17 +563,15 @@ class RollupCache:
         return rows
 
     def clear(self) -> int:
-        """Delete every cache entry, append log, lattice manifest, and any
-        orphaned temp file left by a crashed writer; returns the number of
-        files removed."""
+        """Delete every cache entry, lattice manifest, and any orphaned temp
+        file left by a crashed writer; returns the number of files
+        removed."""
         removed = 0
         if not self._directory.is_dir():
             return removed
         for pattern in (
             f"*{CACHE_SUFFIX}",
             f"*{CACHE_SUFFIX}.tmp",
-            f"*{LOG_SUFFIX}",
-            f"*{LOG_SUFFIX}.tmp",
             f"*{MANIFEST_SUFFIX}",
             f"*{MANIFEST_SUFFIX}.tmp",
         ):
@@ -654,124 +646,6 @@ def _load_append_state(header: dict, data: "np.lib.npyio.NpzFile") -> CubeAppend
     # loaded counts/parent maps.
     state._recompute_redundancy()
     return state
-
-
-# ----------------------------------------------------------------------
-# Streaming replay: chained snapshot keys and the append log
-# ----------------------------------------------------------------------
-#: Filename suffix of append logs.
-LOG_SUFFIX = ".append.json"
-
-#: Version tag of the append-log JSON layout.
-LOG_FORMAT = 1
-
-
-def chain_fingerprint(previous: str, delta_fingerprint: str) -> str:
-    """The pseudo-fingerprint of ``snapshot + delta``.
-
-    Streaming snapshots key their cache entries by folding each delta's
-    fingerprint into the previous snapshot's, so a per-update store/load
-    hashes only the O(delta) new rows — never the whole relation.  The
-    two components are length-framed before hashing, so no pair of
-    (previous, delta) strings can collide by concatenation.
-    """
-    digest = hashlib.sha256()
-    for part in (previous, delta_fingerprint):
-        encoded = part.encode("utf-8")
-        digest.update(len(encoded).to_bytes(8, "little"))
-        digest.update(encoded)
-    return f"chain-{digest.hexdigest()}"
-
-
-def chained_key(base_key: CubeKey, fingerprint: str) -> CubeKey:
-    """``base_key`` with its data component replaced by a chained one."""
-    return replace(base_key, fingerprint=fingerprint)
-
-
-class AppendLog:
-    """The persisted delta history of one cached stream.
-
-    One JSON file per ``(base relation, query parameters)`` pair, stored
-    next to the cache entries: the base :class:`CubeKey` plus the ordered
-    delta fingerprints appended so far.  A restarted stream opens the log,
-    replays its own deltas against it, and — as long as they match —
-    fast-forwards through cached snapshots without rebuilding or
-    re-appending; the first mismatching delta truncates the log and the
-    chain diverges onto fresh entries.
-    """
-
-    def __init__(self, directory: str | Path, base_key: CubeKey):
-        self._path = (
-            Path(directory).expanduser() / f"{base_key.digest()}{LOG_SUFFIX}"
-        )
-        self._base_key = base_key
-        self._deltas: list[str] = []
-        try:
-            payload = json.loads(self._path.read_text(encoding="utf-8"))
-            if (
-                payload.get("format") == LOG_FORMAT
-                and payload.get("base_key") == _key_dict(base_key)
-            ):
-                self._deltas = [str(fp) for fp in payload["deltas"]]
-        except (OSError, ValueError, KeyError):
-            # Missing or unreadable logs start empty; they are an
-            # optimization record, never a correctness input.
-            pass
-
-    @property
-    def path(self) -> Path:
-        return self._path
-
-    @property
-    def base_key(self) -> CubeKey:
-        return self._base_key
-
-    @property
-    def deltas(self) -> tuple[str, ...]:
-        """Recorded delta fingerprints, oldest first."""
-        return tuple(self._deltas)
-
-    def align(self, position: int, delta_fingerprint: str) -> bool:
-        """Record the ``position``-th delta; returns whether it matched.
-
-        A match (the log already holds this fingerprint at this position)
-        means the chained cache entry for the resulting snapshot may
-        exist — the replay fast-forward case.  A mismatch truncates the
-        recorded history from ``position`` on and persists the new
-        fingerprint, diverging the chain.
-        """
-        if position < len(self._deltas) and self._deltas[position] == delta_fingerprint:
-            return True
-        del self._deltas[position:]
-        self._deltas.append(delta_fingerprint)
-        self._save()
-        return False
-
-    def fingerprint_at(self, position: int) -> str:
-        """The chained fingerprint after ``position`` deltas (0 = base)."""
-        fingerprint = self._base_key.fingerprint
-        for delta in self._deltas[:position]:
-            fingerprint = chain_fingerprint(fingerprint, delta)
-        return fingerprint
-
-    def _save(self) -> None:
-        payload = {
-            "format": LOG_FORMAT,
-            "base_key": _key_dict(self._base_key),
-            "deltas": self._deltas,
-        }
-        try:
-            self._path.parent.mkdir(parents=True, exist_ok=True)
-            handle, tmp_name = tempfile.mkstemp(
-                dir=self._path.parent, suffix=f"{LOG_SUFFIX}.tmp"
-            )
-            with os.fdopen(handle, "w", encoding="utf-8") as tmp:
-                json.dump(payload, tmp)
-            os.replace(tmp_name, self._path)
-        except OSError:
-            # An unwritable cache directory degrades to an unlogged
-            # stream, exactly like an unpersistable cube store.
-            pass
 
 
 def _read_header(data: "np.lib.npyio.NpzFile") -> dict:

@@ -7,6 +7,7 @@ from typing import Mapping
 
 from repro.baselines.base import Segmenter, attach_explanations
 from repro.core.config import ExplainConfig
+from repro.core.pipeline import make_solver
 from repro.core.session import ExplainSession
 from repro.datasets.base import Dataset
 from repro.obs.trace import span
@@ -96,13 +97,12 @@ def time_baseline(
         aggregate=dataset.aggregate,
         config=config,
     )
-    pipeline = session.pipeline()
-    scorer = pipeline.prepare()
+    scorer = session.scorer()
     series = scorer.cube.overall_series()
 
     with span("baseline-segment") as segmentation:
         boundaries = segmenter.segment(series.values, k)
-    solver = pipeline.solver(scorer)
+    solver = make_solver(scorer, config)
     with span("baseline-explain") as explanation:
         attach_explanations(scorer, solver, boundaries)
     return BaselineLatency(

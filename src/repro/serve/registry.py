@@ -563,7 +563,7 @@ class SessionRegistry:
             )
         if cube is None:
             return False
-        session.adopt_snapshot(None, cube)
+        session.adopt_snapshot(cube)
         with self._lock:
             self._stats.adopt_hits += 1
         return True

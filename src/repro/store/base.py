@@ -69,9 +69,8 @@ def file_digest(path: str | Path) -> str:
 def compose_fingerprint(parts: Sequence[str]) -> str:
     """Hash a sequence of identity components into one hex digest.
 
-    Each part is length-framed before hashing (the
-    :func:`~repro.cube.cache.chain_fingerprint` discipline), so no two
-    distinct part sequences can collide by concatenation.
+    Each part is length-framed before hashing, so no two distinct part
+    sequences can collide by concatenation.
     """
     digest = hashlib.sha256()
     for part in parts:

@@ -3,8 +3,7 @@
 Covers the append ledger on the cube (:mod:`repro.cube.delta`),
 targeted scorer-LRU invalidation in
 ``ExplainSession.append``, incremental ``SegmentationCosts.extend``, the
-format-2 cache entries with append state, chained snapshot keys with the
-append log, and the CLI ``--follow`` loop.  The end-to-end equivalence
+cache entries with append state, and the CLI ``--follow`` loop.  The end-to-end equivalence
 properties live in ``tests/test_properties.py``.
 """
 
@@ -25,13 +24,7 @@ from repro.cli import main as cli_main
 from repro.core.config import ExplainConfig
 from repro.core.session import ExplainSession
 from repro.core.streaming import StreamingExplainer
-from repro.cube.cache import (
-    AppendLog,
-    RollupCache,
-    chain_fingerprint,
-    chained_key,
-    cube_key,
-)
+from repro.cube.cache import CACHE_SUFFIX, RollupCache, cube_key
 from repro.cube.datacube import ExplanationCube
 from repro.diff.scorer import SegmentScorer
 from repro.exceptions import (
@@ -232,7 +225,7 @@ class TestSessionAppend:
         session = ExplainSession(day_rows(range(8)), "m", ["cat"])
         other = ExplanationCube(day_rows(range(8)), ["cat"], "m", aggregate="avg")
         with pytest.raises(QueryError, match="different query"):
-            session.adopt_snapshot(session.relation, other)
+            session.adopt_snapshot(other)
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +297,7 @@ class TestCostsExtend:
 
 
 # ----------------------------------------------------------------------
-# Cache format 2 + chained keys + append log
+# Cache entries with the append ledger
 # ----------------------------------------------------------------------
 class TestDeltaCache:
     def test_appendable_cube_round_trips_with_its_ledger(self, tmp_path):
@@ -334,75 +327,6 @@ class TestDeltaCache:
         loaded = cache.load(key)
         assert loaded is not None and not loaded.appendable
         assert loaded.included_values.tobytes() == cube.included_values.tobytes()
-
-    def test_chain_fingerprint_is_framed(self):
-        assert chain_fingerprint("ab", "c") != chain_fingerprint("a", "bc")
-        assert chain_fingerprint("x", "y") == chain_fingerprint("x", "y")
-
-    def test_append_log_aligns_and_truncates(self, tmp_path):
-        relation = day_rows(range(6))
-        key = cube_key(relation, "m", ["cat"])
-        log = AppendLog(tmp_path, key)
-        assert log.align(0, "d1") is False  # first sighting
-        assert AppendLog(tmp_path, key).align(0, "d1") is True  # replayed
-        replay = AppendLog(tmp_path, key)
-        assert replay.align(0, "d1") is True
-        assert replay.align(1, "other") is False  # diverges, truncates
-        assert replay.deltas == ("d1", "other")
-        assert replay.fingerprint_at(2) == chain_fingerprint(
-            chain_fingerprint(key.fingerprint, "d1"), "other"
-        )
-
-    def test_streamed_snapshots_are_stored_under_chained_keys(self, tmp_path):
-        config = ExplainConfig(use_filter=False, k=2, cache_dir=str(tmp_path))
-        explainer = StreamingExplainer(
-            day_rows(range(12)), "m", ["cat"], config=config
-        )
-        explainer.refresh()
-        delta = day_rows([12, 13])
-        explainer.update(delta)
-        base_key = cube_key(day_rows(range(12)), "m", ["cat"])
-        snapshot_key = chained_key(
-            base_key, chain_fingerprint(base_key.fingerprint, delta.fingerprint())
-        )
-        cache = RollupCache(tmp_path)
-        snapshot = cache.load(snapshot_key)
-        assert snapshot is not None
-        assert snapshot.n_times == 14
-
-    def test_replayed_stream_fast_forwards_from_the_cache(self, tmp_path):
-        config = ExplainConfig(use_filter=False, k=2, cache_dir=str(tmp_path))
-        base = day_rows(range(12))
-        deltas = [day_rows([12, 13]), day_rows([14])]
-
-        first = StreamingExplainer(base, "m", ["cat"], config=config)
-        first.refresh()
-        results = [first.update(delta) for delta in deltas]
-
-        replay = StreamingExplainer(base, "m", ["cat"], config=config)
-        replay.refresh()
-        assert replay.session().cache_hit is True  # base loaded from disk
-        replayed = [replay.update(delta) for delta in deltas]
-        assert replay.session().cache_hit is True  # fast-forwarded snapshot
-        assert [r.boundaries for r in replayed] == [r.boundaries for r in results]
-        assert [
-            repr(s.explanations[0].explanation)
-            for r in replayed
-            for s in r.segments
-        ] == [
-            repr(s.explanations[0].explanation)
-            for r in results
-            for s in r.segments
-        ]
-
-    def test_clear_removes_append_logs_too(self, tmp_path):
-        relation = day_rows(range(6))
-        key = cube_key(relation, "m", ["cat"])
-        AppendLog(tmp_path, key).align(0, "d1")
-        cache = RollupCache(tmp_path)
-        cache.store(key, ExplanationCube(relation, ["cat"], "m"))
-        assert cache.clear() == 2
-        assert list(tmp_path.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -460,9 +384,8 @@ class TestFollowCli:
         assert code == 2
         assert "--follow requires --csv" in capsys.readouterr().err
 
-    def test_follow_tails_appended_rows(self, tmp_path):
-        path = str(tmp_path / "live.csv")
-        self._write_rows(path, range(16), mode="w")
+    def _follow_two_days(self, path, *extra):
+        """Run ``explain --follow`` while days 16 and 17 are appended."""
 
         def writer():
             for day in (16, 17):
@@ -484,14 +407,30 @@ class TestFollowCli:
                         "--follow",
                         "--poll-interval", "0.05",
                         "--max-updates", "2",
+                        *extra,
                     ]
                 )
         finally:
             thread.join()
-        output = buffer.getvalue()
+        return code, buffer.getvalue()
+
+    def test_follow_tails_appended_rows(self, tmp_path):
+        path = str(tmp_path / "live.csv")
+        self._write_rows(path, range(16), mode="w")
+        code, output = self._follow_two_days(path)
         assert code == 0
         assert "initial explanation (16 points)" in output
         assert "== update 2:" in output and "18 points" in output
+
+    def test_follow_stores_only_the_base_cube(self, tmp_path):
+        path = str(tmp_path / "live.csv")
+        self._write_rows(path, range(16), mode="w")
+        cache_dir = tmp_path / "cache"
+        code, output = self._follow_two_days(path, "--cache-dir", str(cache_dir))
+        assert code == 0
+        assert "== update 2:" in output and "18 points" in output
+        assert len(list(cache_dir.glob(f"*{CACHE_SUFFIX}"))) == 1
+        assert not list(cache_dir.glob("*.append.json"))
 
     def test_follow_waits_for_header_and_first_rows(self, tmp_path):
         """tail -f semantics: an empty just-created file is waited on,

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.core import session as session_module
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import ExplainPipeline
 from repro.core.session import COSTS_MEMO_SIZE, ExplainSession
 from repro.exceptions import SegmentationError
 from repro.obs.trace import start_trace
@@ -158,7 +158,7 @@ def test_adopt_snapshot_drops_every_entry():
     session.explain()
     session.explain("t000", "t020")
     assert live_entries(session) == 2
-    session.adopt_snapshot(None, session.cube)
+    session.adopt_snapshot(session.cube)
     assert live_entries(session) == 0
     _, names = traced_explain(session, k=3)
     assert "unit-solve" in names
@@ -212,21 +212,21 @@ def test_threads_sharing_one_entry_get_identical_results(variant, primed, monkey
     inside: dict[int, int] = {}
     overlaps: list[int] = []
     guard = threading.Lock()
-    assemble = ExplainPipeline._assemble
+    assemble = session_module.assemble
 
-    def watched(pipeline, scorer, costs, *rest):
+    def watched(scorer, costs, *rest):
         with guard:
             inside[id(costs)] = inside.get(id(costs), 0) + 1
             if inside[id(costs)] > 1:
                 overlaps.append(id(costs))
         try:
             time.sleep(0.001)
-            return assemble(pipeline, scorer, costs, *rest)
+            return assemble(scorer, costs, *rest)
         finally:
             with guard:
                 inside[id(costs)] -= 1
 
-    monkeypatch.setattr(ExplainPipeline, "_assemble", watched)
+    monkeypatch.setattr(session_module, "assemble", watched)
     barrier = threading.Barrier(8)
     results: list = []
     errors: list = []

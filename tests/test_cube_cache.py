@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import ExplainConfig
 from repro.core.engine import TSExplain
-from repro.core.pipeline import ExplainPipeline
+from repro.core.session import ExplainSession
 from repro.cube.cache import CACHE_SUFFIX, RollupCache, cube_key
 from repro.cube.datacube import ExplanationCube
 from repro.exceptions import ConfigError
@@ -331,18 +331,18 @@ def test_format2_entries_read_as_misses_and_are_overwritten(cache, capsys):
 def test_pipeline_cache_hit_second_run(tmp_path):
     relation = regime_relation()
     config = ExplainConfig(cache_dir=str(tmp_path))
-    first = ExplainPipeline(relation, "sales", ("cat",), config=config)
+    first = ExplainSession(relation, "sales", ("cat",), config=config)
     first.prepare()
     assert first.cache_hit is False
-    second = ExplainPipeline(relation, "sales", ("cat",), config=config)
+    second = ExplainSession(relation, "sales", ("cat",), config=config)
     second.prepare()
     assert second.cache_hit is True
 
 
 def test_pipeline_without_cache_reports_none():
-    pipeline = ExplainPipeline(regime_relation(), "sales", ("cat",))
-    pipeline.prepare()
-    assert pipeline.cache_hit is None
+    session = ExplainSession(regime_relation(), "sales", ("cat",))
+    session.prepare()
+    assert session.cache_hit is None
 
 
 def test_cached_and_fresh_results_identical(tmp_path):
@@ -361,14 +361,14 @@ def test_cached_cube_serves_other_configs(tmp_path):
     """Smoothing/filter/metric are outside the key: one entry, many configs."""
     relation = regime_relation()
     base = ExplainConfig(cache_dir=str(tmp_path))
-    ExplainPipeline(relation, "sales", ("cat",), config=base).prepare()
-    smoothed = ExplainPipeline(
+    ExplainSession(relation, "sales", ("cat",), config=base).scorer()
+    smoothed = ExplainSession(
         relation,
         "sales",
         ("cat",),
         config=base.updated(smoothing_window=3, use_filter=False),
     )
-    smoothed.prepare()
+    smoothed.scorer()
     assert smoothed.cache_hit is True
 
 

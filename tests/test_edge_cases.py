@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.config import ExplainConfig
 from repro.core.engine import TSExplain
-from repro.core.pipeline import ExplainPipeline
+from repro.core.session import ExplainSession
 from repro.diff.metrics import available_metrics
 from repro.exceptions import SegmentationError
 from repro.segmentation.distance import VARIANTS
@@ -106,70 +106,70 @@ def test_single_candidate():
 
 @pytest.mark.parametrize("metric", available_metrics())
 def test_all_difference_metrics_end_to_end(metric):
-    result = ExplainPipeline(
+    result = ExplainSession(
         regime_relation(),
         "sales",
         ["cat"],
         config=ExplainConfig(use_filter=False, k=2, metric=metric),
-    ).run()
+    ).explain()
     assert result.k == 2
     assert result.segments[0].explanations  # something was explained
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_all_variance_variants_end_to_end(variant):
-    result = ExplainPipeline(
+    result = ExplainSession(
         regime_relation(),
         "sales",
         ["cat"],
         config=ExplainConfig(use_filter=False, k=2, variant=variant),
-    ).run()
+    ).explain()
     assert result.k == 2
     # All designs should find the true switch on clean data.
     assert abs(result.cuts[0] - 12) <= 1
 
 
 def test_max_order_one_restricts_conjunctions():
-    result = ExplainPipeline(
+    result = ExplainSession(
         two_attr_relation(),
         "m",
         ["a", "b"],
         config=ExplainConfig(use_filter=False, k=2, max_order=1),
-    ).run()
+    ).explain()
     for segment in result.segments:
         for scored in segment.explanations:
             assert scored.explanation.order == 1
 
 
 def test_dedup_disabled_end_to_end():
-    result = ExplainPipeline(
+    result = ExplainSession(
         two_attr_relation(),
         "m",
         ["a", "b"],
         config=ExplainConfig(use_filter=False, k=2, deduplicate=False),
-    ).run()
+    ).explain()
     assert result.epsilon >= 11  # 3 + 2 + 6 combos
 
 
 def test_smoothing_window_larger_than_series():
-    result = ExplainPipeline(
+    result = ExplainSession(
         regime_relation(n=10, switch=5),
         "sales",
         ["cat"],
         config=ExplainConfig(use_filter=False, k=2, smoothing_window=50),
-    ).run()
+    ).explain()
     # Degenerates towards a global mean but must still run.
     assert result.k == 2
 
 
 def test_k_equals_max_segments():
     relation = regime_relation(n=30, switch=15)
-    result = ExplainPipeline(
+    result = ExplainSession(
         relation,
         "sales",
         ["cat"],
         config=ExplainConfig(use_filter=False, k=20, k_max=20),
-    ).run()
+    ).explain()
     assert result.k == 20
 
 
@@ -181,9 +181,9 @@ def test_series_too_short():
         time="t",
     )
     with pytest.raises(SegmentationError):
-        ExplainPipeline(
+        ExplainSession(
             relation, "v", ["cat"], config=ExplainConfig(use_filter=False, k=2)
-        ).run()
+        ).explain()
 
 
 def test_numeric_dimension_values():
@@ -204,11 +204,11 @@ def test_numeric_dimension_values():
 
 def test_filter_can_empty_the_candidate_set():
     """An extreme ratio removes everything; the pipeline must still answer."""
-    result = ExplainPipeline(
+    result = ExplainSession(
         regime_relation(),
         "sales",
         ["cat"],
         config=ExplainConfig(use_filter=True, filter_ratio=0.999, k=2),
-    ).run()
+    ).explain()
     assert result.filtered_epsilon == 0
     assert all(segment.explanations == () for segment in result.segments)

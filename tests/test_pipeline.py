@@ -1,4 +1,4 @@
-"""Tests for the end-to-end ExplainPipeline."""
+"""Tests for the end-to-end pipeline run by ``ExplainSession.explain``."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,8 @@ from repro.ca.cascade import CascadingAnalysts, DrillDownTree
 from repro.ca.guess_verify import GuessAndVerify
 from repro.core import pipeline as pipeline_module
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import ExplainPipeline
+from repro.core.pipeline import make_solver
+from repro.core.session import ExplainSession
 from repro.exceptions import SegmentationError
 from repro.relation.predicates import Conjunction
 from tests.conftest import regime_relation, two_attr_relation
@@ -16,10 +17,10 @@ from tests.conftest import regime_relation, two_attr_relation
 def run(relation, explain_by, measure, **overrides):
     config_kwargs = {"use_filter": False}
     config_kwargs.update(overrides)
-    pipeline = ExplainPipeline(
+    session = ExplainSession(
         relation, measure, explain_by, config=ExplainConfig(**config_kwargs)
     )
-    return pipeline.run()
+    return session.explain()
 
 
 def test_recovers_regime_switch():
@@ -63,12 +64,12 @@ def test_epsilon_reported():
 
 def test_filter_reduces_epsilon():
     relation = regime_relation()
-    result = ExplainPipeline(
+    result = ExplainSession(
         relation,
         "sales",
         ["cat"],
         config=ExplainConfig(use_filter=True, filter_ratio=0.3, k=2),
-    ).run()
+    ).explain()
     # Category c (flat 7, always under 30% of the overall) is filtered.
     assert result.filtered_epsilon < result.epsilon
 
@@ -98,29 +99,26 @@ def test_guess_and_verify_solver_builds_no_drill_down_tree(monkeypatch):
         return DrillDownTree(explanations)
 
     monkeypatch.setattr(pipeline_module, "DrillDownTree", counting_tree)
-    hierarchical = ExplainPipeline(
-        two_attr_relation(), "m", ["a", "b"], config=ExplainConfig.optimized()
-    )
-    assert isinstance(hierarchical.solver(), GuessAndVerify)
+    config = ExplainConfig.optimized()
+    hierarchical = ExplainSession(two_attr_relation(), "m", ["a", "b"], config=config)
+    assert isinstance(make_solver(hierarchical.scorer(), config), GuessAndVerify)
     assert built == []
-    flat = ExplainPipeline(
-        regime_relation(), "sales", ["cat"], config=ExplainConfig.optimized()
-    )
-    assert isinstance(flat.solver(), CascadingAnalysts)
-    assert built == [flat.prepare().cube.n_explanations]
+    flat = ExplainSession(regime_relation(), "sales", ["cat"], config=config)
+    assert isinstance(make_solver(flat.scorer(), config), CascadingAnalysts)
+    assert built == [flat.scorer().cube.n_explanations]
 
 
 def test_sketch_mode_full_resolution_variance():
     relation = regime_relation(n=40, switch=20)
-    vanilla = ExplainPipeline(
+    vanilla = ExplainSession(
         relation, "sales", ["cat"], config=ExplainConfig.vanilla(k=2)
-    ).run()
-    sketched = ExplainPipeline(
+    ).explain()
+    sketched = ExplainSession(
         relation,
         "sales",
         ["cat"],
         config=ExplainConfig.vanilla(k=2).updated(use_sketch=True),
-    ).run()
+    ).explain()
     assert sketched.cuts == vanilla.cuts
     assert sketched.total_variance == pytest.approx(vanilla.total_variance, rel=1e-6)
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from repro.ca.bruteforce import is_non_overlapping
 from repro.ca.cascade import CascadingAnalysts, DrillDownTree
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import ExplainPipeline
+from repro.core.session import ExplainSession
 from repro.core.smoothing import smooth_cube
 from repro.cube.datacube import ExplanationCube
 from repro.diff.scorer import SegmentScorer
@@ -138,12 +138,12 @@ def test_dp_optimal_on_real_costs(data, k):
 def test_pipeline_segments_tile_the_series(data):
     """End-to-end: segments partition [0, n-1]; K matches; labels align."""
     relation, dimensions = data
-    result = ExplainPipeline(
+    result = ExplainSession(
         relation,
         "m",
         dimensions,
         config=ExplainConfig(use_filter=False, k_max=5),
-    ).run()
+    ).explain()
     boundaries = result.boundaries
     assert boundaries[0] == 0
     assert boundaries[-1] == len(result.series) - 1
@@ -388,7 +388,6 @@ def test_lattice_routed_equals_direct_build(data, aggregate, smoothing, start_fr
     """(a) Every lattice-routed cube is byte-identical to a one-shot
     build, and a routed session answers windowed (smoothed) queries
     exactly like a session that never saw the lattice."""
-    from repro.core.session import ExplainSession
     from repro.lattice import LatticeRouter, RollupSpec, build_lattice, default_lattice
     from repro.serve.jsonio import result_to_json
 

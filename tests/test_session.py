@@ -5,12 +5,12 @@ import pytest
 
 from repro.core.config import ExplainConfig
 from repro.core.engine import TSExplain
-from repro.core.pipeline import ExplainPipeline
-from repro.core.session import ExplainSession, window_relation
+from repro.core.session import ExplainSession
 from repro.core.streaming import StreamingExplainer
 from repro.exceptions import ConfigError, QueryError
 from repro.obs.trace import start_trace
 from repro.relation.predicates import Conjunction
+from repro.relation.timeseries import TimeSeries
 from tests.conftest import regime_relation, two_attr_relation
 
 
@@ -40,12 +40,29 @@ def result_fingerprint(result):
     )
 
 
+def window_relation(relation, time_attr, start, stop):
+    """Rows whose time label lies in ``[start, stop]`` (both inclusive).
+
+    The reference for windowed queries: a session over these rows builds
+    its cube from the window alone.
+    """
+    if start is None and stop is None:
+        return relation
+    positions, labels = relation.time_positions(time_attr)
+    series = TimeSeries(np.zeros(len(labels)), labels)
+    start_pos = series.position_of(start) if start is not None else 0
+    stop_pos = series.position_of(stop) if stop is not None else len(labels) - 1
+    if start_pos >= stop_pos:
+        raise QueryError("window must contain at least two time points")
+    return relation.take((positions >= start_pos) & (positions <= stop_pos))
+
+
 def legacy_windowed_result(relation, measure, explain_by, aggregate, config, start, stop):
     """The pre-session path: filter the relation to the window, rebuild."""
     windowed = window_relation(relation, None, start, stop)
-    return ExplainPipeline(
+    return ExplainSession(
         windowed, measure, explain_by, aggregate=aggregate, config=config
-    ).run()
+    ).explain()
 
 
 # ----------------------------------------------------------------------
@@ -106,9 +123,9 @@ class TestWindowEquivalence:
     def test_full_series_matches_plain_pipeline(self, simple_relation):
         config = ExplainConfig(use_filter=False, k=2)
         session = ExplainSession(simple_relation, "sales", ["cat"], config=config)
-        legacy = ExplainPipeline(
+        legacy = ExplainSession(
             simple_relation, "sales", ["cat"], config=config
-        ).run()
+        ).explain()
         assert result_fingerprint(session.explain()) == result_fingerprint(legacy)
 
     def test_open_ended_windows(self, simple_relation):
@@ -189,12 +206,12 @@ class TestSessionReuse:
             for s in segment.explanations
         )
         assert result_fingerprint(result) == result_fingerprint(
-            ExplainPipeline(multi_relation, "m", ["a", "b"], config=override).run()
+            ExplainSession(multi_relation, "m", ["a", "b"], config=override).explain()
         )
 
     def test_per_call_cache_dir_override_still_persists(self, simple_relation, tmp_path):
-        # The pre-session facade honored a one-off cache_dir by building a
-        # fresh pipeline; the session must not silently skip the store.
+        # A one-off cache_dir is served by a one-off session, which must
+        # not silently skip the store.
         session = ExplainSession(
             simple_relation, "sales", ["cat"],
             config=ExplainConfig(use_filter=False, k=2),
@@ -204,6 +221,40 @@ class TestSessionReuse:
             config=ExplainConfig(use_filter=False, k=2, cache_dir=str(tmp_path))
         )
         assert list(tmp_path.glob("*.cube.npz"))
+
+    @pytest.mark.parametrize("field", ["max_order", "cache_dir"])
+    def test_prepare_tier_override_is_a_one_off_session(
+        self, multi_relation, tmp_path, field
+    ):
+        config = ExplainConfig(use_filter=False, k=2)
+        session = ExplainSession(multi_relation, "m", ["a", "b"], config=config)
+        session.explain()
+        cube = session.cube
+        entries = [
+            (key, derived, dict(derived.solved))
+            for key, derived in session._scorers.items()
+        ]
+        value = 1 if field == "max_order" else str(tmp_path)
+        override = config.updated(**{field: value})
+
+        result = session.explain("t002", "t013", config=override)
+        top = session.top_explanations("t002", "t013", config=override)
+
+        fresh = ExplainSession(multi_relation, "m", ["a", "b"], config=override)
+        assert result_fingerprint(result) == result_fingerprint(
+            fresh.explain("t002", "t013")
+        )
+        assert [(repr(s.explanation), s.gamma.hex(), s.tau) for s in top] == [
+            (repr(s.explanation), s.gamma.hex(), s.tau)
+            for s in fresh.top_explanations("t002", "t013")
+        ]
+        assert session.last_result is result
+        # The session's own cube, scorer LRU and costs memo are untouched.
+        assert session.cube is cube
+        assert [
+            (key, derived, dict(derived.solved))
+            for key, derived in session._scorers.items()
+        ] == entries
 
     def test_scorer_rejects_cube_shaping_override(self, multi_relation):
         session = ExplainSession(multi_relation, "m", ["a", "b"], k=2)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.ca.cascade import CascadingAnalysts, DrillDownTree
 from repro.core.config import ExplainConfig
+from repro.core.pipeline import make_solver
 from repro.core.session import ExplainSession
 from repro.cube.datacube import ExplanationCube
 from repro.datasets.registry import load_dataset
@@ -114,12 +115,11 @@ def test_sketched_variances_are_full_grid_numbers(
     session, smoothing_window = dataset_sessions(name)
     config = ExplainConfig.optimized(smoothing_window=smoothing_window, variant=variant)
     result = session.explain(config=config)
-    pipeline = session.pipeline(config=config)
-    scorer = pipeline.prepare()
+    scorer = session.scorer(config=config)
     _, sketch_size = default_sketch_parameters(scorer.cube.n_times)
     assert (sketch_size + 1, scorer.cube.n_times) == (sketch_points, n_points)
 
-    full = SegmentationCosts(scorer, pipeline.solver(scorer), m=config.m, variant=variant)
+    full = SegmentationCosts(scorer, make_solver(scorer, config), m=config.m, variant=variant)
     boundaries = result.boundaries
     assert [segment.variance.hex() for segment in result.segments] == [
         full.variance(left, right).hex()

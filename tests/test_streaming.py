@@ -189,31 +189,59 @@ def test_empty_delta_update_is_a_noop(explainer):
     assert list(after_tick.series.values) == list(no_tick.series.values)
 
 
-def test_empty_delta_does_not_fork_the_chained_cache(tmp_path):
-    """With a rollup cache, an empty tick must not advance the chained
-    snapshot fingerprint: a replay that never saw the tick hits the same
-    cache entries."""
-    from repro.cube.cache import RollupCache
-
-    new = rows_for(
-        range(24, 28),
-        lambda t, cat: 10.0 + 5.0 * (t - 12) if cat == "b" else 10.0,
+def result_print(result):
+    """Byte-exact rendering of everything a result reports."""
+    return (
+        result.k,
+        result.boundaries,
+        result.epsilon,
+        result.filtered_epsilon,
+        result.total_variance.hex(),
+        tuple((k, v.hex()) for k, v in result.k_variance_curve.items()),
+        tuple(
+            (
+                segment.variance.hex(),
+                tuple(
+                    (repr(s.explanation), s.gamma.hex(), s.tau)
+                    for s in segment.explanations
+                ),
+            )
+            for segment in result.segments
+        ),
     )
 
-    def run(with_tick: bool, directory) -> int:
-        cache = RollupCache(directory)
+
+def test_a_cached_stream_stores_only_its_base_cube(tmp_path):
+    """With a cache_dir the stream's session loads or stores the base cube
+    through its prepare; updates, empty ticks included, write nothing and
+    return exactly what an uncached stream returns."""
+    from repro.cube.cache import RollupCache
+
+    deltas = [
+        rows_for(range(24, 26), lambda t, cat: 10.0 + 5.0 * (t - 12) if cat == "b" else 10.0),
+        rows_for(range(26, 28), lambda t, cat: 40.0 if cat == "a" else 10.0),
+    ]
+    empty = rows_for([], lambda t, cat: 0.0)
+
+    def run(directory, with_tick):
         explainer = StreamingExplainer(
             regime_relation(),
             measure="sales",
             explain_by=["cat"],
-            config=ExplainConfig(use_filter=False, k=2, cache_dir=str(directory)),
+            config=ExplainConfig(use_filter=False, k=2, cache_dir=directory),
         )
-        explainer.refresh()
-        if with_tick:
-            explainer.update(rows_for([], lambda t, cat: 0.0))
-        explainer.update(new)
-        return len(cache.entries())
+        prints = [result_print(explainer.refresh())]
+        for delta in deltas:
+            if with_tick:
+                explainer.update(empty)
+            prints.append(result_print(explainer.update(delta)))
+        return prints, explainer.session().cache_hit
 
-    ticked = run(True, tmp_path / "ticked")
-    plain = run(False, tmp_path / "plain")
-    assert ticked == plain
+    uncached, _ = run(None, False)
+    for name, with_tick in (("plain", False), ("ticked", True)):
+        directory = str(tmp_path / name)
+        assert run(directory, with_tick) == (uncached, False)
+        assert len(RollupCache(directory).entries()) == 1
+        # A restarted stream loads its base cube from the cache.
+        assert run(directory, with_tick) == (uncached, True)
+        assert len(RollupCache(directory).entries()) == 1

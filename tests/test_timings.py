@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import ExplainPipeline
 from repro.core.session import ExplainSession
 from repro.core.streaming import StreamingExplainer
 from repro.datasets.registry import load_dataset
@@ -43,9 +42,11 @@ def test_session_explain_timings_are_its_explain_span():
         assert_timings_are_the_span(*traced(session.explain))
 
 
-def test_pipeline_run_timings_are_its_explain_span():
-    pipeline = ExplainPipeline(regime_relation(), "sales", ["cat"])
-    assert_timings_are_the_span(*traced(pipeline.run))
+def test_prepare_override_timings_are_its_one_explain_span(tmp_path):
+    session = ExplainSession(regime_relation(), "sales", ["cat"])
+    session.prepare()
+    override = session.config.updated(cache_dir=str(tmp_path))
+    assert_timings_are_the_span(*traced(lambda: session.explain(config=override)))
 
 
 def test_streaming_update_timings_are_its_explain_span():

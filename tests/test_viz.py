@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ExplainConfig
-from repro.core.pipeline import ExplainPipeline
+from repro.core.session import ExplainSession
 from repro.exceptions import QueryError
 from repro.relation.timeseries import TimeSeries
 from repro.viz.ascii_chart import ascii_chart, sparkline
@@ -19,12 +19,12 @@ from tests.conftest import regime_relation
 
 @pytest.fixture(scope="module")
 def result():
-    return ExplainPipeline(
+    return ExplainSession(
         regime_relation(),
         "sales",
         ["cat"],
         config=ExplainConfig(use_filter=False, k=2),
-    ).run()
+    ).explain()
 
 
 def test_ascii_chart_dimensions():
@@ -61,10 +61,10 @@ def test_explanation_table_contains_effects(result):
 
 
 def test_k_variance_table_marks_elbow():
-    pipeline = ExplainPipeline(
+    session = ExplainSession(
         regime_relation(), "sales", ["cat"], config=ExplainConfig(use_filter=False)
     )
-    auto_result = pipeline.run()
+    auto_result = session.explain()
     table = k_variance_table(auto_result)
     assert "<- elbow" in table
 
