@@ -26,7 +26,8 @@ TSExplain needs ``E*_m`` for every one of ``O(n^2)`` segments.  The DAG is
 static across segments — only the ``gamma`` vector changes — so
 :meth:`CascadingAnalysts.solve_batch` runs the DP once with value tables
 vectorized over a chunk of segments, then reconstructs each segment's
-selection by walking its optimal decisions.
+selection by walking its optimal decisions.  The answer is one
+:class:`TopMBatch` of arrays, one row per segment.
 """
 
 from __future__ import annotations
@@ -45,7 +46,9 @@ _ROOT = 0
 
 @dataclass(frozen=True)
 class TopMResult:
-    """Top-m non-overlapping explanations of one segment (Definition 3.5).
+    """Top-m non-overlapping explanations of one segment (Definition 3.5):
+    one row of a :class:`TopMBatch`, as the callers that read a single
+    segment's answer see it.
 
     Attributes
     ----------
@@ -61,30 +64,14 @@ class TopMResult:
         (Eq. 12).
     taus:
         Change effects ``tau(E^r)`` of the selections on their own segment
-        (Definition 3.3); attached by :meth:`with_context` after solving
-        because the CA itself only sees non-negative scores.
-    source_segment:
-        ``(start, stop)`` positions of the segment this result explains;
-        attached by :meth:`with_context`.
+        (Definition 3.3); empty unless the row came from a batch that
+        carries them.
     """
 
     indices: tuple[int, ...]
     gammas: tuple[float, ...]
     best: tuple[float, ...]
     taus: tuple[int, ...] = ()
-    source_segment: tuple[int, int] | None = None
-
-    def with_context(
-        self, taus: Sequence[int], source_segment: tuple[int, int]
-    ) -> "TopMResult":
-        """A copy annotated with change effects and segment positions."""
-        return TopMResult(
-            indices=self.indices,
-            gammas=self.gammas,
-            best=self.best,
-            taus=tuple(int(t) for t in taus),
-            source_segment=(int(source_segment[0]), int(source_segment[1])),
-        )
 
     @property
     def total(self) -> float:
@@ -93,6 +80,64 @@ class TopMResult:
 
     def __len__(self) -> int:
         return len(self.indices)
+
+
+@dataclass(eq=False)
+class TopMBatch:
+    """Top-m results of many segments, one row per segment.
+
+    ``indices``, ``gammas`` and ``taus`` have shape ``(P, m)``: row ``r``
+    holds its ``counts[r]`` selections ranked by ``gamma`` descending, and
+    every later rank is 0.  ``best`` has shape ``(P, m + 1)`` (each row's
+    ``Best[0..m]``).  ``taus`` stays ``None`` until
+    :class:`~repro.segmentation.variance.SegmentationCosts` attaches the
+    change effects: the CA itself only sees non-negative scores.
+    ``batch[r]`` is row ``r`` as a :class:`TopMResult`.
+    """
+
+    indices: np.ndarray
+    gammas: np.ndarray
+    best: np.ndarray
+    counts: np.ndarray
+    taus: np.ndarray | None = None
+
+    @classmethod
+    def zeros(cls, rows: int, m: int, taus: bool = False) -> "TopMBatch":
+        """``rows`` empty rows (no selections, every ``Best`` 0)."""
+        return cls(
+            np.zeros((rows, m), dtype=np.intp),
+            np.zeros((rows, m)),
+            np.zeros((rows, m + 1)),
+            np.zeros(rows, dtype=np.intp),
+            np.zeros((rows, m), dtype=np.int8) if taus else None,
+        )
+
+    @property
+    def valid(self) -> np.ndarray:
+        """``(P, m)`` mask of the filled ranks."""
+        return np.arange(self.indices.shape[1]) < self.counts[:, None]
+
+    def take(self, rows) -> "TopMBatch":
+        """The batch of ``rows`` (an index array, a mask or a slice)."""
+        return TopMBatch(*(None if a is None else a[rows] for a in vars(self).values()))
+
+    def put(self, rows, other: "TopMBatch") -> None:
+        """Overwrite ``rows`` with ``other``'s rows (taus too, if this has them)."""
+        for mine, theirs in zip(vars(self).values(), vars(other).values()):
+            if mine is not None:
+                mine[rows] = theirs
+
+    def __len__(self) -> int:
+        return self.counts.shape[0]
+
+    def __getitem__(self, row: int) -> TopMResult:
+        k = int(self.counts[row])
+        return TopMResult(
+            indices=tuple(self.indices[row, :k].tolist()),
+            gammas=tuple(self.gammas[row, :k].tolist()),
+            best=tuple(self.best[row].tolist()),
+            taus=() if self.taus is None else tuple(self.taus[row, :k].tolist()),
+        )
 
 
 class DrillDownTree:
@@ -251,8 +296,8 @@ class CascadingAnalysts:
         """Top-m result for a single gamma vector of length ``n_candidates``."""
         return self.solve_batch(np.asarray(gamma, dtype=np.float64)[None, :])[0]
 
-    def solve_batch(self, gammas: np.ndarray, chunk_size: int | None = None) -> list[TopMResult]:
-        """Top-m results for many segments at once.
+    def solve_batch(self, gammas: np.ndarray, chunk_size: int | None = None) -> TopMBatch:
+        """Top-m results for many segments at once, one batch row each.
 
         Parameters
         ----------
@@ -276,47 +321,38 @@ class CascadingAnalysts:
         if chunk_size is None:
             bytes_per_segment = 8 * (self._m + 1) * max(self._tree.n_nodes, 1)
             chunk_size = int(np.clip(48_000_000 // bytes_per_segment, 16, 1024))
-        results: list[TopMResult] = []
+        batch = TopMBatch.zeros(gammas.shape[0], self._m)
         for offset in range(0, gammas.shape[0], chunk_size):
-            chunk = gammas[offset : offset + chunk_size]
-            results.extend(self._solve_chunk(chunk))
-        return results
+            self._solve_chunk(gammas[offset : offset + chunk_size], batch, offset)
+        return batch
 
     # ------------------------------------------------------------------
     # Flat fast path: one attribute, all values pairwise disjoint
     # ------------------------------------------------------------------
-    def _solve_flat(self, gammas: np.ndarray) -> list[TopMResult]:
+    def _solve_flat(self, gammas: np.ndarray) -> TopMBatch:
         m = self._m
-        n_segments, n_candidates = gammas.shape
-        k = min(m, n_candidates)
-        # Candidate node ids happen to equal candidate position + 1, but we
-        # work purely in candidate positions here.
+        k = min(m, gammas.shape[1])
         top_unsorted = np.argpartition(-gammas, k - 1, axis=1)[:, :k]
         top_unsorted.sort(axis=1)  # deterministic tie-breaking by position
         top_gamma = np.take_along_axis(gammas, top_unsorted, axis=1)
         order = np.argsort(-top_gamma, axis=1, kind="stable")
         top_idx = np.take_along_axis(top_unsorted, order, axis=1)
         top_gamma = np.take_along_axis(top_gamma, order, axis=1)
-        cumulative = np.cumsum(top_gamma, axis=1)
-        results: list[TopMResult] = []
-        for segment in range(n_segments):
-            kept = int(np.count_nonzero(top_gamma[segment] > 0.0))
-            best = [0.0]
-            for q in range(1, m + 1):
-                best.append(float(cumulative[segment, min(q, k) - 1]))
-            results.append(
-                TopMResult(
-                    indices=tuple(int(i) for i in top_idx[segment, :kept]),
-                    gammas=tuple(float(g) for g in top_gamma[segment, :kept]),
-                    best=tuple(best),
-                )
-            )
-        return results
+        batch = TopMBatch.zeros(gammas.shape[0], m)
+        # Best[q] is the sum of the q highest scores (all k when q > k).
+        batch.best[:, 1:] = np.cumsum(top_gamma, axis=1)[:, np.minimum(np.arange(m), k - 1)]
+        # Each row is sorted descending and non-negative, so its positive
+        # scores are its prefix; zero scores are never selected.
+        batch.counts[:] = np.count_nonzero(top_gamma > 0.0, axis=1)
+        kept = np.arange(k) < batch.counts[:, None]
+        batch.indices[:, :k] = np.where(kept, top_idx, 0)
+        batch.gammas[:, :k] = np.where(kept, top_gamma, 0.0)
+        return batch
 
     # ------------------------------------------------------------------
     # Forward DP over one chunk of segments
     # ------------------------------------------------------------------
-    def _solve_chunk(self, gammas: np.ndarray) -> list[TopMResult]:
+    def _solve_chunk(self, gammas: np.ndarray, batch: TopMBatch, offset: int) -> None:
         tree = self._tree
         m = self._m
         n_segments = gammas.shape[0]
@@ -342,28 +378,31 @@ class CascadingAnalysts:
                 np.maximum(value[:, 1:], gammas[:, candidate, None], out=value[:, 1:])
             tables[node] = value
 
-        return [
-            self._reconstruct(segment, gammas, tables)
-            for segment in range(n_segments)
-        ]
+        batch.best[offset : offset + n_segments] = tables[_ROOT]
+        for segment in range(n_segments):
+            self._reconstruct(segment, gammas, tables, batch, offset + segment)
 
     # ------------------------------------------------------------------
     # Per-segment reconstruction of the optimal selection
     # ------------------------------------------------------------------
     def _reconstruct(
-        self, segment: int, gammas: np.ndarray, tables: dict[int, np.ndarray]
-    ) -> TopMResult:
+        self,
+        segment: int,
+        gammas: np.ndarray,
+        tables: dict[int, np.ndarray],
+        batch: TopMBatch,
+        row: int,
+    ) -> None:
+        """Write ``segment``'s optimal selection into ``batch`` row ``row``."""
         selected: list[int] = []
         self._walk(_ROOT, self._m, segment, gammas, tables, selected)
         ranked = sorted(
             selected, key=lambda candidate: (-gammas[segment, candidate], candidate)
         )
-        best = tuple(float(v) for v in tables[_ROOT][segment])
-        return TopMResult(
-            indices=tuple(ranked),
-            gammas=tuple(float(gammas[segment, candidate]) for candidate in ranked),
-            best=best,
-        )
+        k = len(ranked)
+        batch.counts[row] = k
+        batch.indices[row, :k] = ranked
+        batch.gammas[row, :k] = gammas[segment, ranked]
 
     def _walk(
         self,

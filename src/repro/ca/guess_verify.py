@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.ca.cascade import CascadingAnalysts, DrillDownTree, TopMResult
+from repro.ca.cascade import CascadingAnalysts, DrillDownTree, TopMBatch, TopMResult
 from repro.exceptions import ExplanationError
 from repro.relation.predicates import Conjunction
 
@@ -43,6 +43,10 @@ DEFAULT_INITIAL_GUESS = 30
 #: When the guessed union covers this fraction of all candidates, fall back
 #: to the full solver — the restriction no longer saves anything.
 _FULL_FALLBACK_FRACTION = 0.8
+
+#: Restricted drill-down DAGs memoized per solver by candidate subset;
+#: neighbouring segment batches usually share their top candidates.
+_TREE_CACHE_SIZE = 64
 
 
 class GuessAndVerify:
@@ -57,9 +61,6 @@ class GuessAndVerify:
         Explanation quota.
     initial_guess:
         Starting prefix size ``m_bar`` (paper: 30 for m=3).
-    cache_size:
-        Number of restricted drill-down DAGs memoized by candidate subset;
-        neighbouring segment batches usually share their top candidates.
     """
 
     def __init__(
@@ -67,7 +68,6 @@ class GuessAndVerify:
         explanations: Sequence[Conjunction],
         m: int = 3,
         initial_guess: int = DEFAULT_INITIAL_GUESS,
-        cache_size: int = 64,
     ):
         if initial_guess < m:
             raise ExplanationError(
@@ -77,7 +77,6 @@ class GuessAndVerify:
         self._m = m
         self._initial_guess = initial_guess
         self._cache: OrderedDict[tuple[int, ...], CascadingAnalysts] = OrderedDict()
-        self._cache_size = cache_size
         self._full_solver: CascadingAnalysts | None = None
         #: number of guess rounds performed across calls (telemetry/tests)
         self.iterations = 0
@@ -91,7 +90,7 @@ class GuessAndVerify:
         """Verified-optimal top-m result for one gamma vector."""
         return self.solve_batch(np.asarray(gamma, dtype=np.float64)[None, :])[0]
 
-    def solve_batch(self, gammas: np.ndarray) -> list[TopMResult]:
+    def solve_batch(self, gammas: np.ndarray) -> TopMBatch:
         """Verified-optimal top-m results for a gamma matrix."""
         gammas = np.asarray(gammas, dtype=np.float64)
         if gammas.ndim != 2 or gammas.shape[1] != len(self._explanations):
@@ -99,56 +98,45 @@ class GuessAndVerify:
                 f"gamma matrix shape {gammas.shape} does not match "
                 f"{len(self._explanations)} candidates"
             )
+        m = self._m
         n_segments, n_candidates = gammas.shape
-        if n_segments == 0:
-            return []
+        batch = TopMBatch.zeros(n_segments, m)
         order = np.argsort(-gammas, axis=1, kind="stable")
-        results: list[TopMResult | None] = [None] * n_segments
-        pending = list(range(n_segments))
+        pending = np.arange(n_segments)
         guess = min(self._initial_guess, n_candidates)
-        while pending:
+        while pending.size:
             self.iterations += 1
-            if guess >= n_candidates:
-                self._solve_full(gammas, pending, results)
-                break
-            union = np.unique(order[pending, :guess])
+            if guess < n_candidates:
+                union = np.unique(order[pending, :guess])
+            else:
+                union = np.arange(n_candidates)
             if union.shape[0] >= _FULL_FALLBACK_FRACTION * n_candidates:
-                self._solve_full(gammas, pending, results)
+                batch.put(pending, self._full().solve_batch(gammas[pending]))
                 break
-            solver = self._restricted_solver(union)
-            local = solver.solve_batch(gammas[pending][:, union])
-            still_pending: list[int] = []
-            for row, restricted in zip(pending, local):
-                mapped = TopMResult(
-                    indices=tuple(int(union[i]) for i in restricted.indices),
-                    gammas=restricted.gammas,
-                    best=restricted.best,
-                )
-                sorted_gamma = gammas[row, order[row]]
-                if self._verified(mapped, sorted_gamma, guess):
-                    results[row] = mapped
-                else:
-                    still_pending.append(row)
-            pending = still_pending
+            local = self._restricted_solver(union).solve_batch(gammas[pending][:, union])
+            local.indices = np.where(local.valid, union[local.indices], 0)
+            # Eq. 12 for every pending row at once: Best[m] must reach
+            # Best[m'] plus the next m - m' scores after the guess.
+            tail = np.take_along_axis(gammas[pending], order[pending, guess : guess + m], axis=1)
+            needed = np.minimum(m - np.arange(m), tail.shape[1])
+            tail_sums = np.cumsum(tail, axis=1)[:, needed - 1]
+            best_m = local.best[:, m]
+            slack = 1e-12 * np.maximum(1.0, np.abs(best_m))
+            failed = best_m[:, None] < local.best[:, :m] + tail_sums - slack[:, None]
+            verified = ~failed.any(axis=1)
+            batch.put(pending[verified], local.take(verified))
+            pending = pending[~verified]
             guess = min(2 * guess, n_candidates)
-        assert all(result is not None for result in results)
-        return results  # type: ignore[return-value]
+        return batch
 
     # ------------------------------------------------------------------
-    def _solve_full(
-        self,
-        gammas: np.ndarray,
-        pending: list[int],
-        results: list[TopMResult | None],
-    ) -> None:
-        """Exact fallback over the complete candidate set."""
+    def _full(self) -> CascadingAnalysts:
+        """The exact solver over the complete candidate set."""
         if self._full_solver is None:
             self._full_solver = CascadingAnalysts(
                 DrillDownTree(self._explanations), self._m
             )
-        solved = self._full_solver.solve_batch(gammas[pending])
-        for row, result in zip(pending, solved):
-            results[row] = result
+        return self._full_solver
 
     def _restricted_solver(self, union: np.ndarray) -> CascadingAnalysts:
         key = tuple(int(i) for i in union)
@@ -157,23 +145,8 @@ class GuessAndVerify:
             tree = DrillDownTree([self._explanations[i] for i in key])
             solver = CascadingAnalysts(tree, self._m)
             self._cache[key] = solver
-            if len(self._cache) > self._cache_size:
+            if len(self._cache) > _TREE_CACHE_SIZE:
                 self._cache.popitem(last=False)
         else:
             self._cache.move_to_end(key)
         return solver
-
-    def _verified(
-        self, result: TopMResult, sorted_gamma: np.ndarray, guess: int
-    ) -> bool:
-        """Check the sufficient optimality condition of Eq. 12."""
-        tail = sorted_gamma[guess : guess + self._m]
-        tail_prefix_sums = np.concatenate([[0.0], np.cumsum(tail)])
-        best = result.best
-        best_m = best[self._m]
-        for m_prime in range(self._m):
-            needed = self._m - m_prime
-            tail_sum = float(tail_prefix_sums[min(needed, tail.shape[0])])
-            if best_m < best[m_prime] + tail_sum - 1e-12 * max(1.0, abs(best_m)):
-                return False
-        return True

@@ -202,7 +202,6 @@ def solve(
             positions, sketch_costs = select_sketch(
                 scorer,
                 solver,
-                m=config.m,
                 variant=config.variant,
                 length_cap=config.sketch_length,
                 size=config.sketch_size,
@@ -212,7 +211,7 @@ def solve(
             # carry over.
             costs = sketch_costs.extend(scorer, solver, cut_positions=positions)
         else:
-            costs = SegmentationCosts(scorer, solver, m=config.m, variant=config.variant)
+            costs = SegmentationCosts(scorer, solver, variant=config.variant)
 
     with span("segment"):
         by_k = solve_schemes(costs, config.k_max)

@@ -248,9 +248,5 @@ class StreamingExplainer:
                 # re-selected candidates): fall through to a fresh build.
                 pass
         return SegmentationCosts(
-            scorer,
-            solver,
-            m=config.m,
-            variant=config.variant,
-            cut_positions=positions,
+            scorer, solver, variant=config.variant, cut_positions=positions
         )

@@ -145,7 +145,8 @@ class SegmentScorer:
         Same ``(epsilon, n_segments)`` layout as :meth:`gamma_tau_many`
         but without materializing the tau matrix — the right call when
         change effects are needed only for a few winning candidates per
-        segment (fetch those afterwards with :meth:`tau`).
+        segment, as segment costs gather them for a whole batch at once
+        (:class:`~repro.segmentation.variance.SegmentationCosts`).
         """
         _, scores = self._score_many(starts, stops)
         return scores

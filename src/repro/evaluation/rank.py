@@ -67,7 +67,7 @@ def variance_design_ranks(
     solver = CascadingAnalysts(DrillDownTree(cube.explanations), m=m)
     ranks: dict[str, int] = {}
     for variant in variants:
-        costs = SegmentationCosts(scorer, solver, m=m, variant=variant)
+        costs = SegmentationCosts(scorer, solver, variant=variant)
         ranks[variant] = ground_truth_rank(
             costs, dataset.boundaries, n_samples=n_samples, seed=seed
         )

@@ -122,7 +122,7 @@ def derive_rollup(cube: ExplanationCube, target: RollupSpec) -> ExplanationCube:
     if state is None:
         raise ExplanationError(
             "rollup derivation needs the cube's delta ledger; build with "
-            "appendable=True or load a ledger-bearing (format-2) cache entry"
+            "appendable=True or load a ledger-bearing cache entry without mmap"
         )
     source = spec_of_cube(cube)
     if not can_derive(source, target):

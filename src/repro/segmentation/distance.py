@@ -18,7 +18,6 @@ cross-checked against this one in the test suite.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -58,7 +57,7 @@ def dcg_cross(
         return 0.0
     if len(source_result.taus) != len(source_result.indices):
         raise SegmentationError(
-            "TopMResult lacks change-effect context; call with_context() first"
+            "TopMResult lacks change-effect context (its taus are empty)"
         )
     indices = np.asarray(source_result.indices)
     gammas, taus = scorer.gamma_tau(target[0], target[1], indices)
@@ -134,28 +133,3 @@ def explanation_distance(
     backward = ndcg(scorer, segment_j, result_j, result_i)
     return combine_ndcg(forward, backward, variant)
 
-
-def pad_results(
-    results: Sequence[TopMResult], m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pack ragged top-m results into dense arrays for vectorized code.
-
-    Returns ``(indices, gammas, taus, valid)``, each ``(len(results), m)``;
-    missing ranks carry index 0 with ``valid`` False and zero gamma.
-    ``taus`` here are the change effects on each result's own segment,
-    re-derived from the sign convention that gamma >= 0 selections keep
-    their stored sign via the result's ``taus`` field.
-    """
-    n = len(results)
-    indices = np.zeros((n, m), dtype=np.intp)
-    gammas = np.zeros((n, m), dtype=np.float64)
-    taus = np.zeros((n, m), dtype=np.int8)
-    valid = np.zeros((n, m), dtype=bool)
-    for row, result in enumerate(results):
-        k = min(len(result.indices), m)
-        if k:
-            indices[row, :k] = result.indices[:k]
-            gammas[row, :k] = result.gammas[:k]
-            taus[row, :k] = result.taus[:k]
-            valid[row, :k] = True
-    return indices, gammas, taus, valid

@@ -43,7 +43,6 @@ def default_sketch_parameters(n_points: int) -> tuple[int, int]:
 def select_sketch(
     scorer: SegmentScorer,
     solver: TopMSolver,
-    m: int = 3,
     variant: str = "tse",
     length_cap: int | None = None,
     size: int | None = None,
@@ -67,13 +66,7 @@ def select_sketch(
             f"sketch of {size} segments with length cap {length_cap} cannot "
             f"cover {n_points} points"
         )
-    costs = SegmentationCosts(
-        scorer,
-        solver,
-        m=m,
-        variant=variant,
-        max_length=length_cap,
-    )
+    costs = SegmentationCosts(scorer, solver, variant=variant, max_length=length_cap)
     schemes = solve_k_segmentation(costs.cost_matrix, k_max=size)
     feasible = [scheme for scheme in schemes if scheme.k == min(size, n_points - 1)]
     if not feasible:

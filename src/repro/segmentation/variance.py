@@ -35,27 +35,32 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from repro.ca.cascade import TopMResult
+from repro.ca.cascade import TopMBatch, TopMResult
+from repro.diff.metrics import change_effect
 from repro.diff.scorer import SegmentScorer
 from repro.exceptions import SegmentationError
 from repro.obs import trace
-from repro.segmentation.distance import (
-    ALLPAIR_VARIANTS,
-    VARIANTS,
-    dcg_weights,
-    pad_results,
-)
+from repro.segmentation.distance import ALLPAIR_VARIANTS, VARIANTS, dcg_weights
 
 
 class TopMSolver(Protocol):
-    """Anything that maps a gamma matrix to per-segment top-m results."""
+    """Anything that maps a gamma matrix to a batch of top-m results."""
 
-    def solve_batch(self, gammas: np.ndarray) -> list[TopMResult]:  # pragma: no cover
+    @property
+    def m(self) -> int:  # pragma: no cover
+        ...
+
+    def solve_batch(self, gammas: np.ndarray) -> TopMBatch:  # pragma: no cover
         ...
 
 
 class SegmentationCosts:
     """Precomputed ``|P| * var(P)`` for all candidate segments.
+
+    Every top-m answer it solves lives in one :class:`TopMBatch` with the
+    change effects attached: the unit objects' rows first, then the
+    segments'.  An ``(N, N)`` row-index matrix maps a reduced segment to
+    its row; a single-object segment maps to its unit's row.
 
     Parameters
     ----------
@@ -63,9 +68,8 @@ class SegmentationCosts:
         Difference scorer over the query's explanation cube.
     solver:
         Top-m solver (:class:`~repro.ca.cascade.CascadingAnalysts` or
-        :class:`~repro.ca.guess_verify.GuessAndVerify`).
-    m:
-        Explanation quota per segment (paper default 3).
+        :class:`~repro.ca.guess_verify.GuessAndVerify`); its ``m`` is the
+        explanation quota per segment.
     variant:
         Variance design, one of
         :data:`repro.segmentation.distance.VARIANTS` (paper default
@@ -85,7 +89,6 @@ class SegmentationCosts:
         self,
         scorer: SegmentScorer,
         solver: TopMSolver,
-        m: int = 3,
         variant: str = "tse",
         cut_positions: Sequence[int] | np.ndarray | None = None,
         max_length: int | None = None,
@@ -111,15 +114,13 @@ class SegmentationCosts:
         # candidate set grows, so this captured reference is what
         # :meth:`extend` compares against.
         self._explanations = scorer.cube.explanations
-        self._m = m
+        self._m = solver.m
         self._variant = variant
         self._positions = cut_positions
         self._max_length = max_length
         self._n_points = cut_positions.shape[0]
         self._n_units = n_times - 1
-        self._weights = dcg_weights(m)
-        with trace.span("unit-solve"):
-            self._prepare_units()
+        self._weights = dcg_weights(self._m)
         self._fill_costs()
 
     # ------------------------------------------------------------------
@@ -181,7 +182,22 @@ class SegmentationCosts:
 
     def unit_result(self, index: int) -> TopMResult:
         """Top-m result of the ``index``-th full-resolution unit object."""
-        return self._unit_results[index]
+        return self._batch[range(self._n_units)[index]]
+
+    def segment_result(self, start: int, stop: int) -> TopMResult:
+        """Top-m result of a reduced segment, solved on first read when
+        the cost fill did not solve it (``allpair`` variants, segments
+        beyond ``max_length``)."""
+        row = int(self._row[start, stop])
+        if row < 0:
+            solved = self._solve_segments(self._positions[[start]], self._positions[[stop]])
+            row = len(self._batch)
+            grown = TopMBatch.zeros(row + 1, self._m, taus=True)
+            grown.put(slice(0, row), self._batch)
+            grown.put(slice(row, None), solved)
+            self._batch = grown
+            self._row[start, stop] = row
+        return self._batch[row]
 
     # ------------------------------------------------------------------
     # Regridding and incremental growth (sketch phase II; streaming
@@ -200,7 +216,8 @@ class SegmentationCosts:
         prefix.
 
         ``scorer`` must score the same candidate set over a series at
-        least as long as this instance's; ``first_changed_position`` is
+        least as long as this instance's, and ``solver`` must have this
+        instance's ``m``; ``first_changed_position`` is
         the smallest time position whose values may differ from the
         series this instance was built on
         (:attr:`repro.cube.delta.AppendInfo.first_changed_position`,
@@ -217,7 +234,7 @@ class SegmentationCosts:
           is solved independently, so the reuse is bit-exact);
         * **segment costs** whose right endpoint lies before the changed
           region are carried over from this instance's cost matrix and
-          result cache (translated through original time positions, so
+          result rows (translated through original time positions, so
           the new cut grid may differ from the old one).
 
         Everything else — new units, and every segment touching the
@@ -231,6 +248,10 @@ class SegmentationCosts:
         if new_cube.n_times < old_n_times:
             raise SegmentationError(
                 "extend() requires a series at least as long as the original"
+            )
+        if solver.m != self._m:
+            raise SegmentationError(
+                f"extend() requires a solver with m={self._m}, got m={solver.m}"
             )
         same_candidates = new_cube.explanations is self._explanations or (
             new_cube.n_explanations == len(self._explanations)
@@ -260,54 +281,34 @@ class SegmentationCosts:
         grown._positions = _cut_grid(cut_positions, n_times)
         grown._n_points = grown._positions.shape[0]
         grown._n_units = n_times - 1
-        with trace.span("unit-solve"):
-            grown._prepare_units(self, keep_units)
-        grown._fill_costs(self, first_changed_position)
+        grown._fill_costs(self, keep_units, first_changed_position)
         return grown
 
     def _carry_costs(
         self, grown: "SegmentationCosts", first_changed_position: int
-    ) -> set[tuple[int, int]]:
+    ) -> TopMBatch:
         """Copy still-valid segment costs into ``grown``'s matrix.
 
         A segment is carried when its right endpoint lies strictly before
-        the changed region; returns the carried reduced pairs so the fill
-        skips them.  Translation goes through *original* positions, so the
-        old and new cut grids may differ.
+        the changed region.  Translation goes through *original*
+        positions, so the old and new cut grids may differ.  Returns the
+        carried segments' rows of this instance's batch, which ``grown``'s
+        row matrix numbers from its first row after the units.
         """
-        new_index_of = {int(p): i for i, p in enumerate(grown._positions)}
-        carried: set[tuple[int, int]] = set()
-        old_positions = self._positions
-        finite_i, finite_j = np.nonzero(np.isfinite(self._cost))
-        for i, j in zip(finite_i.tolist(), finite_j.tolist()):
-            if j <= i:
-                continue
-            orig_i = int(old_positions[i])
-            orig_j = int(old_positions[j])
-            if orig_j >= first_changed_position:
-                continue
-            new_i = new_index_of.get(orig_i)
-            new_j = new_index_of.get(orig_j)
-            if new_i is None or new_j is None:
-                continue
-            grown._cost[new_i, new_j] = self._cost[i, j]
-            carried.add((new_i, new_j))
-            result = self._results.get((i, j))
-            if result is not None:
-                grown._results[(new_i, new_j)] = result
-        return carried
-
-    def segment_result(self, start: int, stop: int) -> TopMResult:
-        """Top-m result of a reduced segment (lazily computed if needed)."""
-        key = (int(start), int(stop))
-        result = self._results.get(key)
-        if result is None:
-            result = self._solve_segments(
-                np.asarray([self._positions[key[0]]]),
-                np.asarray([self._positions[key[1]]]),
-            )[0]
-            self._results[key] = result
-        return result
+        old = self._positions
+        i, j = np.nonzero(np.triu(np.isfinite(self._cost), 1))
+        new_index = np.full(grown._n_units + 1, -1, dtype=np.intp)
+        new_index[grown._positions] = np.arange(grown._n_points)
+        new_i, new_j = new_index[old[i]], new_index[old[j]]
+        keep = (old[j] < first_changed_position) & (new_i >= 0) & (new_j >= 0)
+        i, j, new_i, new_j = i[keep], j[keep], new_i[keep], new_j[keep]
+        grown._cost[new_i, new_j] = self._cost[i, j]
+        # A single-object segment keeps pointing at its unit's row.
+        rows = self._row[i, j]
+        solved = (old[j] - old[i] > 1) & (rows >= 0)
+        new_rows = grown._n_units + np.arange(np.count_nonzero(solved))
+        grown._row[new_i[solved], new_j[solved]] = new_rows
+        return self._batch.take(rows[solved])
 
     # ------------------------------------------------------------------
     # Unit objects (always full resolution) and the cost matrix
@@ -315,136 +316,141 @@ class SegmentationCosts:
     def _prepare_units(
         self, previous: "SegmentationCosts | None" = None, keep_units: int = 0
     ) -> None:
-        """Unit structures: the first ``keep_units`` are ``previous``'s,
-        the rest are scored and solved here."""
+        """Unit structures, in the batch's first rows: the first
+        ``keep_units`` are ``previous``'s, the rest are scored and solved
+        here."""
         starts = np.arange(keep_units, self._n_units, dtype=np.intp)
         stops = starts + 1
         n_explanations = self._scorer.cube.n_explanations
         gamma = np.empty((n_explanations, 0))
         tau = np.empty((n_explanations, 0), dtype=np.int8)
-        results: list[TopMResult] = []
         if starts.size:
             gamma, tau = self._scorer.gamma_tau_many(starts, stops)
-            results = [
-                result.with_context(
-                    taus=tuple(int(tau[index, x]) for index in result.indices),
-                    source_segment=(int(starts[x]), int(stops[x])),
-                )
-                for x, result in enumerate(self._solve(gamma.T))
-            ]
+            solved = self._attach_taus(self._solve(gamma.T), starts, stops)
+            self._batch.put(slice(keep_units, self._n_units), solved)
         if previous is not None:
             gamma = np.concatenate([previous._gamma_unit[:, :keep_units], gamma], axis=1)
             tau = np.concatenate([previous._tau_unit[:, :keep_units], tau], axis=1)
-            results = previous._unit_results[:keep_units] + results
-        self._gamma_unit, self._tau_unit, self._unit_results = gamma, tau, results
-        self._unit_idx, self._unit_gamma, self._unit_tau, self._unit_valid = pad_results(
-            results, self._m
-        )
-        self._ideal_unit = self._unit_gamma @ self._weights
+            self._batch.put(slice(0, keep_units), previous._batch.take(slice(0, keep_units)))
+        self._gamma_unit, self._tau_unit = gamma, tau
+        units = self._batch.take(slice(0, self._n_units))
+        self._unit_idx, self._unit_tau, self._unit_valid = units.indices, units.taus, units.valid
+        self._ideal_unit = units.gammas @ self._weights
 
     def _fill_costs(
-        self, previous: "SegmentationCosts | None" = None, first_changed_position: int = 0
+        self,
+        previous: "SegmentationCosts | None" = None,
+        keep_units: int = 0,
+        first_changed_position: int = 0,
     ) -> None:
-        """The cost matrix, with ``previous``'s still-valid costs carried
-        over (centroid variants; :meth:`_carry_costs`)."""
-        self._results: dict[tuple[int, int], TopMResult] = {}
-        self._cost = np.full((self._n_points, self._n_points), np.inf, dtype=np.float64)
+        """The cost matrix and the batch of every solved answer, reusing
+        ``previous``'s first ``keep_units`` units and, for centroid
+        variants, its still-valid costs and rows (:meth:`_carry_costs`)."""
+        n_points, n_units = self._n_points, self._n_units
+        self._cost = np.full((n_points, n_points), np.inf, dtype=np.float64)
         np.fill_diagonal(self._cost, 0.0)
+        # Single-object segments cost 0 by definition (the object is its
+        # own centroid), and their answer is the unit's.
+        single = np.flatnonzero(np.diff(self._positions) == 1)
+        self._cost[single, single + 1] = 0.0
+        self._row = np.full((n_points, n_points), -1, dtype=np.intp)
+        self._row[single, single + 1] = self._positions[single]
+        carried = TopMBatch.zeros(0, self._m, taus=True)
+        pair_i = pair_j = np.empty(0, dtype=np.intp)
+        if self._variant not in ALLPAIR_VARIANTS:
+            if previous is not None:
+                carried = previous._carry_costs(self, first_changed_position)
+            pair_i, pair_j = self._segment_pairs()
+            fresh = np.isinf(self._cost[pair_i, pair_j])  # not carried
+            pair_i, pair_j = pair_i[fresh], pair_j[fresh]
+        first_solved = n_units + len(carried)
+        self._batch = TopMBatch.zeros(first_solved + pair_i.shape[0], self._m, taus=True)
+        self._batch.put(slice(n_units, first_solved), carried)
+        self._row[pair_i, pair_j] = np.arange(first_solved, len(self._batch))
+        with trace.span("unit-solve"):
+            self._prepare_units(previous, keep_units)
         if self._variant in ALLPAIR_VARIANTS:
             self._fill_costs_allpair()
-        elif previous is None:
-            self._fill_costs_centroid()
         else:
-            carried = previous._carry_costs(self, first_changed_position)
-            self._fill_costs_centroid(skip=carried)
+            self._fill_costs_centroid(pair_i, pair_j, first_solved)
 
     # ------------------------------------------------------------------
     # Segment solving helpers
     # ------------------------------------------------------------------
-    def _solve(self, gammas: np.ndarray) -> list[TopMResult]:
+    def _solve(self, gammas: np.ndarray) -> TopMBatch:
         """One cascading-analysts batch: a ``ca-solve`` span."""
         with trace.span("ca-solve"):
             return self._solver.solve_batch(gammas)
 
-    def _segment_pairs(self) -> list[tuple[int, int]]:
-        """Reduced ``(i, j)`` pairs needing a cost, honouring constraints.
+    def _segment_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Reduced ``(i, j)`` pairs needing a cost, honouring constraints,
+        in row-major order.
 
         Pairs spanning exactly one unit object are excluded — their cost is
         0 by definition and their result is the unit's.
         """
-        pairs: list[tuple[int, int]] = []
-        for i in range(self._n_points - 1):
-            for j in range(i + 1, self._n_points):
-                span = self._positions[j] - self._positions[i]
-                if self._max_length is not None and span > self._max_length:
-                    break
-                if span > 1:
-                    pairs.append((i, j))
-        return pairs
+        span = self._positions[None, :] - self._positions[:, None]
+        wanted = span > 1
+        if self._max_length is not None:
+            wanted &= span <= self._max_length
+        return np.nonzero(wanted)
 
-    def _solve_segments(
-        self, starts: np.ndarray, stops: np.ndarray
-    ) -> list[TopMResult]:
+    def _solve_segments(self, starts: np.ndarray, stops: np.ndarray) -> TopMBatch:
         """Solve top-m for segments given by original-position arrays."""
         gammas = self._scorer.gamma_many(starts, stops)
-        results = self._solve(gammas.T)
-        annotated = []
-        for column, result in enumerate(results):
-            # Effects are only reported for each segment's m winners, so
-            # fetch those instead of materializing the full tau matrix.
-            winner_taus = self._scorer.tau(
-                int(starts[column]),
-                int(stops[column]),
-                np.asarray(result.indices, dtype=np.intp),
-            )
-            result_taus = tuple(int(tau) for tau in winner_taus)
-            annotated.append(
-                result.with_context(
-                    taus=result_taus,
-                    source_segment=(int(starts[column]), int(stops[column])),
-                )
-            )
-        return annotated
+        return self._attach_taus(self._solve(gammas.T), starts, stops)
+
+    def _attach_taus(self, batch: TopMBatch, starts: np.ndarray, stops: np.ndarray) -> TopMBatch:
+        """Attach each selection's change effect on its own segment,
+        ``sign(delta overall - delta excluded)``, gathered at the filled
+        ranks only (the padding's candidate 0 may not exist)."""
+        cube = self._scorer.cube
+        overall, excluded = cube.overall_values, cube.excluded_values
+        rows, ranks = np.nonzero(batch.valid)
+        index, lo, hi = batch.indices[rows, ranks], starts[rows], stops[rows]
+        delta = (overall[hi] - overall[lo]) - (excluded[index, hi] - excluded[index, lo])
+        batch.taus = np.zeros(batch.indices.shape, dtype=np.int8)
+        batch.taus[rows, ranks] = change_effect(delta)
+        return batch
 
     # ------------------------------------------------------------------
     # Centroid-structured variants (tse, dist1, dist2, S-variants)
     # ------------------------------------------------------------------
-    def _fill_costs_centroid(self, skip: set[tuple[int, int]] | None = None) -> None:
-        pairs = self._segment_pairs()
-        if skip:
-            pairs = [pair for pair in pairs if pair not in skip]
-        # Single-object segments cost 0 by definition: the object is its
-        # own centroid.
-        for i in np.flatnonzero(np.diff(self._positions) == 1).tolist():
-            self._cost[i, i + 1] = 0.0
-            self._results[(i, i + 1)] = self._unit_results[int(self._positions[i])]
-
+    def _fill_costs_centroid(
+        self, pair_i: np.ndarray, pair_j: np.ndarray, first_row: int
+    ) -> None:
+        """Solve the pairs into batch rows ``first_row`` on, and cost them."""
         epsilon = max(self._scorer.cube.n_explanations, 1)
         chunk = int(np.clip(32_000_000 // (8 * epsilon), 64, 8192))
-        for offset in range(0, len(pairs), chunk):
-            block = pairs[offset : offset + chunk]
-            starts = self._positions[np.asarray([i for i, _ in block], dtype=np.intp)]
-            stops = self._positions[np.asarray([j for _, j in block], dtype=np.intp)]
-            results = self._solve_segments(starts, stops)
-            for (i, j), result in zip(block, results):
-                self._results[(i, j)] = result
-                self._cost[i, j] = self._centroid_cost(i, j, result)
+        for offset in range(0, pair_i.shape[0], chunk):
+            block_i = pair_i[offset : offset + chunk]
+            block_j = pair_j[offset : offset + chunk]
+            row = first_row + offset
+            self._batch.put(
+                slice(row, row + block_i.shape[0]),
+                self._solve_segments(self._positions[block_i], self._positions[block_j]),
+            )
+            for i, j in zip(block_i.tolist(), block_j.tolist()):
+                self._cost[i, j] = self._centroid_cost(i, j, row)
+                row += 1
 
-    def _centroid_cost(self, i: int, j: int, centroid: TopMResult) -> float:
-        """``sum_x dist(object_x, centroid)`` over the covered unit objects."""
+    def _centroid_cost(self, i: int, j: int, row: int) -> float:
+        """``sum_x dist(object_x, centroid)`` over the covered unit objects,
+        the centroid being batch row ``row``."""
         weights = self._weights
         start_pos = int(self._positions[i])
         stop_pos = int(self._positions[j])
         span = slice(start_pos, stop_pos)
         n_objects = stop_pos - start_pos
+        k = int(self._batch.counts[row])
 
         # --- NDCG(object_x, E*(centroid)) per object ----------------------
-        if centroid.indices:
-            c_idx = np.asarray(centroid.indices, dtype=np.intp)
-            c_tau = np.asarray(centroid.taus, dtype=np.int8)
+        if k:
+            c_idx = self._batch.indices[row, :k]
+            c_tau = self._batch.taus[row, :k]
             rel = self._gamma_unit[c_idx][:, span]  # (m_c, L)
             agree = self._tau_unit[c_idx][:, span] == c_tau[:, None]
-            numerator = (rel * agree).T @ weights[: c_idx.shape[0]]  # (L,)
+            numerator = (rel * agree).T @ weights[:k]  # (L,)
         else:
             numerator = np.zeros(n_objects)
         ideal = self._ideal_unit[span]
@@ -456,9 +462,7 @@ class SegmentationCosts:
 
         # --- NDCG(centroid, E*(object_x)) per object ----------------------
         ideal_centroid = (
-            float(np.dot(centroid.gammas, weights[: len(centroid.gammas)]))
-            if centroid.gammas
-            else 0.0
+            float(np.dot(self._batch.gammas[row, :k], weights[:k])) if k else 0.0
         )
         if ideal_centroid > 0.0:
             cube = self._scorer.cube
@@ -505,20 +509,12 @@ class SegmentationCosts:
         # 2-D prefix sums make every segment's pair total an O(1) lookup.
         prefix = np.zeros((n_units + 1, n_units + 1))
         prefix[1:, 1:] = np.cumsum(np.cumsum(pair_distance, axis=0), axis=1)
-        for i in range(self._n_points - 1):
-            for j in range(i + 1, self._n_points):
-                lo = int(self._positions[i])
-                hi = int(self._positions[j])
-                span = hi - lo
-                if self._max_length is not None and span > self._max_length:
-                    break
-                if span == 1:
-                    self._cost[i, j] = 0.0
-                    continue
-                block = prefix[hi, hi] - prefix[lo, hi] - prefix[hi, lo] + prefix[lo, lo]
-                n_pairs = span * (span - 1) / 2.0
-                variance = (block / 2.0) / n_pairs
-                self._cost[i, j] = span * variance
+        i, j = self._segment_pairs()
+        lo, hi = self._positions[i], self._positions[j]
+        block = prefix[hi, hi] - prefix[lo, hi] - prefix[hi, lo] + prefix[lo, lo]
+        span = hi - lo
+        n_pairs = span * (span - 1) / 2.0
+        self._cost[i, j] = span * ((block / 2.0) / n_pairs)
 
     # ------------------------------------------------------------------
     def _combine(self, forward: np.ndarray, backward: np.ndarray) -> np.ndarray:

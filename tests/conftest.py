@@ -2,11 +2,58 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from repro.relation.predicates import Conjunction
 from repro.relation.schema import Schema
 from repro.relation.table import Relation
+
+#: Every conjunction of one to three items over attributes A, B, C with
+#: values 0-2: 63 candidates nesting three levels deep.
+CONJUNCTION_POOL = [
+    Conjunction.from_items(items)
+    for order in (1, 2, 3)
+    for attributes in itertools.combinations("ABC", order)
+    for items in itertools.product(*[[(a, v) for v in range(3)] for a in attributes])
+]
+
+
+@st.composite
+def top_m_inputs(draw, max_candidates: int = 12):
+    """``(candidates, gammas, m)`` for a top-m solver: a flat,
+    hierarchical or empty candidate set, a gamma matrix with some
+    all-zero rows, and a quota that may exceed the candidate count."""
+    if draw(st.booleans()):
+        values = range(draw(st.integers(0, 6)))
+        candidates = [Conjunction.from_items((("A", v),)) for v in values]
+    else:
+        size = draw(st.integers(0, max_candidates))
+        candidates = draw(st.permutations(CONJUNCTION_POOL))[:size]
+    n = len(candidates)
+    rows = draw(st.integers(1, 6))
+    scores = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 100, allow_nan=False)
+    matrix = st.lists(st.lists(scores, min_size=n, max_size=n), min_size=rows, max_size=rows)
+    gammas = np.asarray(draw(matrix), dtype=np.float64).reshape(rows, n)
+    zero_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    gammas[np.asarray(zero_rows)] = 0.0
+    return candidates, gammas, draw(st.integers(1, 4))
+
+
+def assert_batch_format(batch, m: int) -> None:
+    """The padding and ``best`` invariants of a :class:`TopMBatch`."""
+    rows = len(batch)
+    assert batch.indices.shape == batch.gammas.shape == (rows, m)
+    assert batch.best.shape == (rows, m + 1)
+    assert np.all(batch.counts <= m)
+    padded = ~batch.valid
+    assert not batch.indices[padded].any() and not batch.gammas[padded].any()
+    assert batch.taus is None or not batch.taus[padded].any()
+    assert np.all(batch.best[:, 0] == 0.0)
+    assert np.all(np.diff(batch.best, axis=1) >= 0.0)
 
 
 def build_relation(columns: dict, dimensions, measures, time=None) -> Relation:

@@ -235,7 +235,7 @@ class TestCostsExtend:
     def _costs_for(self, cube, m=3):
         scorer = SegmentScorer(cube)
         solver = CascadingAnalysts(DrillDownTree(cube.explanations), m=m)
-        return scorer, solver, SegmentationCosts(scorer, solver, m=m)
+        return scorer, solver, SegmentationCosts(scorer, solver)
 
     def test_extend_requires_same_candidates(self):
         cube = ExplanationCube(day_rows(range(10)), ["cat"], "m")

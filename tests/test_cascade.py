@@ -8,6 +8,7 @@ from repro.ca.bruteforce import cascading_optimum, is_non_overlapping
 from repro.ca.cascade import CascadingAnalysts, DrillDownTree, single_attribute
 from repro.exceptions import ExplanationError
 from repro.relation.predicates import Conjunction
+from tests.conftest import assert_batch_format, top_m_inputs
 
 
 def conj(**items) -> Conjunction:
@@ -180,11 +181,19 @@ def test_dp_equals_bruteforce_and_nonoverlap(data):
     assert all(b2 >= b1 - 1e-12 for b1, b2 in zip(result.best, result.best[1:]))
 
 
-def test_with_context_annotation():
-    candidates = [conj(A=0), conj(A=1)]
-    solver = CascadingAnalysts(DrillDownTree(candidates), m=2)
-    result = solver.solve(np.asarray([2.0, 1.0]))
-    annotated = result.with_context(taus=[1, -1], source_segment=(0, 5))
-    assert annotated.taus == (1, -1)
-    assert annotated.source_segment == (0, 5)
-    assert annotated.indices == result.indices
+@settings(max_examples=150, deadline=None)
+@given(inputs=top_m_inputs(), chunk_size=st.sampled_from([None, 1, 2, 5]))
+def test_batch_rows_are_single_solves(inputs, chunk_size):
+    """Each batch row is the single-row solve and a brute-force optimum,
+    and the padding and ``best`` invariants hold: flat, hierarchical and
+    empty candidate sets, all-zero rows, and m above the candidate count."""
+    candidates, gammas, m = inputs
+    solver = CascadingAnalysts(DrillDownTree(candidates), m=m)
+    batch = solver.solve_batch(gammas, chunk_size=chunk_size)
+    assert_batch_format(batch, m)
+    assert batch.taus is None
+    for row in range(gammas.shape[0]):
+        result = batch[row]
+        assert result == solver.solve(gammas[row])
+        assert result.total == pytest.approx(cascading_optimum(candidates, gammas[row], m))
+        assert is_non_overlapping([candidates[i] for i in result.indices])

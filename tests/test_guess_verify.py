@@ -1,13 +1,17 @@
 """Unit and property tests for guess-and-verify (O1)."""
 
+import random
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from repro.ca.bruteforce import is_non_overlapping
 from repro.ca.cascade import CascadingAnalysts, DrillDownTree
 from repro.ca.guess_verify import GuessAndVerify
 from repro.exceptions import ExplanationError
 from repro.relation.predicates import Conjunction
+from tests.conftest import assert_batch_format, top_m_inputs
 
 
 def conj(**items) -> Conjunction:
@@ -92,3 +96,40 @@ def test_guess_and_verify_always_matches_vanilla(data):
     o1 = GuessAndVerify(candidates, m=m, initial_guess=guess)
     vanilla = CascadingAnalysts(DrillDownTree(candidates), m=m)
     assert o1.solve(gamma).total == pytest.approx(vanilla.solve(gamma).total)
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=top_m_inputs(max_candidates=40), rng=st.randoms(use_true_random=False))
+# A row verified on a restricted union without candidate 0, holding fewer
+# selections than m: its padded rank must read 0, not the union's first.
+@example(
+    inputs=(
+        [conj(B=0), conj(A=0), conj(A=0, B=1), conj(A=1)],
+        np.asarray([[0.0, 10.0, 1.0, 0.0]]),
+        2,
+    ),
+    rng=random.Random(0),
+)
+def test_batch_rows_are_verified_optima(inputs, rng):
+    """With the smallest guess (restricted solves, retries and the full
+    fallback), every row is an optimum, the padding and ``best`` invariants hold, and a row's
+    answer does not depend on where it sits in the batch.
+
+    A row need not equal a single-row solve: the restricted DAG is the
+    union of the whole batch's prefixes, so tied optima and ``Best[m']``
+    for ``m' < m`` may differ.
+    """
+    candidates, gammas, m = inputs
+    batch = GuessAndVerify(candidates, m=m, initial_guess=m).solve_batch(gammas)
+    assert_batch_format(batch, m)
+    vanilla = CascadingAnalysts(DrillDownTree(candidates), m=m)
+    for row in range(gammas.shape[0]):
+        result = batch[row]
+        assert result.total == pytest.approx(vanilla.solve(gammas[row]).total)
+        assert result.gammas == tuple(gammas[row, list(result.indices)])
+        assert is_non_overlapping([candidates[i] for i in result.indices])
+    order = list(range(gammas.shape[0]))
+    rng.shuffle(order)
+    shuffled = GuessAndVerify(candidates, m=m, initial_guess=m).solve_batch(gammas[order])
+    for position, row in enumerate(order):
+        assert shuffled[position] == batch[row]

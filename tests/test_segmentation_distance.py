@@ -1,5 +1,6 @@
 """Unit tests for the NDCG-based distance (reference implementation)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from repro.segmentation.distance import (
     explanation_distance,
     ideal_dcg,
     ndcg,
-    pad_results,
 )
 from tests.conftest import regime_relation
 
@@ -31,9 +31,7 @@ def solve(scorer, start, stop, m=3) -> TopMResult:
     solver = CascadingAnalysts(DrillDownTree(scorer.cube.explanations), m=m)
     gammas, taus = scorer.gamma_tau(start, stop)
     result = solver.solve(gammas)
-    return result.with_context(
-        taus=[int(taus[i]) for i in result.indices], source_segment=(start, stop)
-    )
+    return dataclasses.replace(result, taus=tuple(int(taus[i]) for i in result.indices))
 
 
 def test_dcg_weights():
@@ -66,7 +64,6 @@ def test_table2_worked_example(scorer):
         gammas=(40.0, 30.0),
         best=(0.0, 40.0, 70.0),
         taus=(1, -1),  # pretend a *decreased* on the source segment
-        source_segment=(0, 11),
     )
     got = dcg_cross(scorer, target, source)
     # Rank 1 (cat=b): tau on target +1 == +1 -> contributes gamma_b / log2(2).
@@ -95,7 +92,7 @@ def test_ndcg_range(scorer):
 def test_ndcg_flat_target_defined_as_one(scorer):
     # Category c is flat everywhere; scoring a segment where the overall
     # change only comes from flat candidates yields ideal DCG 0.
-    empty = TopMResult(indices=(), gammas=(), best=(0.0, 0.0, 0.0, 0.0), taus=(), source_segment=(0, 1))
+    empty = TopMResult(indices=(), gammas=(), best=(0.0, 0.0, 0.0, 0.0), taus=())
     other = solve(scorer, 12, 23)
     assert ndcg(scorer, (0, 1), empty, other) == 1.0
 
@@ -147,11 +144,3 @@ def test_combine_one_sided():
         1 - math.sqrt((0.36 + 0.64) / 2)
     )
 
-
-def test_pad_results_shapes(scorer):
-    results = [solve(scorer, x, x + 1) for x in range(4)]
-    indices, gammas, taus, valid = pad_results(results, 3)
-    assert indices.shape == (4, 3)
-    assert valid.dtype == bool
-    for row, result in enumerate(results):
-        assert valid[row].sum() == len(result.indices)

@@ -9,7 +9,7 @@ from repro.diff.scorer import SegmentScorer
 from repro.exceptions import SegmentationError
 from repro.segmentation.distance import VARIANTS, explanation_distance
 from repro.segmentation.variance import SegmentationCosts, scheme_total_variance
-from tests.conftest import regime_relation, two_attr_relation
+from tests.conftest import assert_batch_format, regime_relation, two_attr_relation
 
 
 def make_parts(relation, explain_by, measure, m=3):
@@ -28,7 +28,7 @@ def covid_like():
 def test_centroid_cost_matches_reference(covid_like, variant):
     """Vectorized centroid costs == sum of reference distances."""
     scorer, solver = covid_like
-    costs = SegmentationCosts(scorer, solver, m=3, variant=variant)
+    costs = SegmentationCosts(scorer, solver, variant=variant)
     for start, stop in [(0, 4), (3, 9), (10, 16), (0, 23)]:
         centroid = costs.segment_result(start, stop)
         reference = 0.0
@@ -47,7 +47,7 @@ def test_centroid_cost_matches_reference(covid_like, variant):
 @pytest.mark.parametrize("variant", ["allpair", "Sallpair"])
 def test_allpair_cost_matches_reference(covid_like, variant):
     scorer, solver = covid_like
-    costs = SegmentationCosts(scorer, solver, m=3, variant=variant)
+    costs = SegmentationCosts(scorer, solver, variant=variant)
     for start, stop in [(0, 4), (5, 10), (8, 15)]:
         units = [costs.unit_result(x) for x in range(start, stop)]
         pairs = []
@@ -104,8 +104,7 @@ def test_cut_grid_subset(covid_like):
     costs = SegmentationCosts(scorer, solver, cut_positions=grid)
     assert costs.n_points == 4
     # Objects stay full resolution.
-    unit = costs.unit_result(7)
-    assert unit.source_segment == (7, 8)
+    assert costs.unit_result(7) == full.unit_result(7)
     # Reduced (1, 2) spans original [6, 12]: identical cost and variance.
     assert costs.cost(1, 2) == pytest.approx(full.cost(6, 12))
     assert costs.variance(1, 2) == pytest.approx(full.variance(6, 12))
@@ -148,8 +147,8 @@ def test_scheme_total_variance_matches_full(covid_like):
 
 
 def test_multi_attribute_costs_consistent():
-    scorer, solver = make_parts(two_attr_relation(), ["a", "b"], "m")
-    costs = SegmentationCosts(scorer, solver, m=2)
+    scorer, solver = make_parts(two_attr_relation(), ["a", "b"], "m", m=2)
+    costs = SegmentationCosts(scorer, solver)
     centroid = costs.segment_result(0, 7)
     reference = sum(
         explanation_distance(
@@ -158,3 +157,20 @@ def test_multi_attribute_costs_consistent():
         for x in range(0, 7)
     )
     assert costs.cost(0, 7) == pytest.approx(reference, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "relation, explain_by, measure",
+    [(regime_relation(), ["cat"], "sales"), (two_attr_relation(), ["a", "b"], "m")],
+    ids=["flat", "hierarchical"],
+)
+def test_segment_taus_are_the_winners_change_effects(relation, explain_by, measure):
+    """The one batch holds every answer with its change effects: each
+    segment's taus are ``tau`` at its winners, and the padding is 0."""
+    scorer, solver = make_parts(relation, explain_by, measure)
+    costs = SegmentationCosts(scorer, solver)
+    assert_batch_format(costs._batch, costs.m)
+    for start, stop in [(0, 1), (0, 4), (3, 9), (2, 15)]:
+        result = costs.segment_result(start, stop)
+        winners = np.asarray(result.indices, dtype=np.intp)
+        assert result.taus == tuple(int(t) for t in scorer.tau(start, stop, winners))

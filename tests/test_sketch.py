@@ -119,7 +119,7 @@ def test_sketched_variances_are_full_grid_numbers(
     _, sketch_size = default_sketch_parameters(scorer.cube.n_times)
     assert (sketch_size + 1, scorer.cube.n_times) == (sketch_points, n_points)
 
-    full = SegmentationCosts(scorer, make_solver(scorer, config), m=config.m, variant=variant)
+    full = SegmentationCosts(scorer, make_solver(scorer, config), variant=variant)
     boundaries = result.boundaries
     assert [segment.variance.hex() for segment in result.segments] == [
         full.variance(left, right).hex()
