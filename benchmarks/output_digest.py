@@ -11,7 +11,8 @@ the total variance and epsilon (floats hashed as ``float.hex``).  Run it
 at a parent commit and at a change that claims identical outputs, and
 compare the two lines.
 
-The corpus, about a minute on a 2-vCPU host:
+The corpus, about 40 s on a 2-vCPU host (`tests/test_output_digest.py`
+runs a slice of it):
 
 * covid-total, covid-daily and sp500 (optimized configuration, each with
   its paper smoothing) × variants tse/allpair/dist1/Sdist2 × sketch on
@@ -66,7 +67,7 @@ def windows(labels) -> list[tuple]:
     return [(labels[lo], labels[lo + WINDOW_POINTS - 1]) for lo in starts]
 
 
-def dataset_records(name: str):
+def dataset_records(name: str, variants=VARIANTS):
     data = load_dataset(name)
     config = ExplainConfig.optimized(smoothing_window=data.smoothing_window)
     session = ExplainSession(
@@ -78,7 +79,7 @@ def dataset_records(name: str):
     )
     labels = session.series().labels
     spans = windows(labels)
-    for variant in VARIANTS:
+    for variant in variants:
         for use_sketch in (True, False):
             for start, stop in spans:
                 for k in (None, 4):
@@ -122,16 +123,22 @@ def stream_records(resegment: str):
         yield f"stream {resegment} {labels[day]}", render_result(stream.update(delta))
 
 
-def main() -> None:
-    digest = hashlib.sha256()
+def digest(sources) -> tuple[int, str]:
+    """``(count, sha256)`` over the ``(key, rendered)`` records of ``sources``."""
+    sha = hashlib.sha256()
     count = 0
-    records = [dataset_records(name) for name in DATASETS]
-    records += [stream_records("pinned"), stream_records("full")]
-    for source in records:
+    for source in sources:
         for key, rendered in source:
-            digest.update(f"{key}\n{rendered}\n".encode())
+            sha.update(f"{key}\n{rendered}\n".encode())
             count += 1
-    print(f"results={count} sha256={digest.hexdigest()}")
+    return count, sha.hexdigest()
+
+
+def main() -> None:
+    sources = [dataset_records(name) for name in DATASETS]
+    sources += [stream_records("pinned"), stream_records("full")]
+    count, sha = digest(sources)
+    print(f"results={count} sha256={sha}")
 
 
 if __name__ == "__main__":

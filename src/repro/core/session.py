@@ -65,7 +65,6 @@ from repro.store.uri import resolve_source
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.lattice.router import LatticeRouter, RouteInfo
-    from repro.lattice.spec import RollupSpec
     from repro.segmentation.dp import SegmentationScheme
     from repro.segmentation.variance import SegmentationCosts
     from repro.store.ingest import IngestReport
@@ -81,9 +80,8 @@ CUBE_FIELDS = ("max_order", "deduplicate")
 #: All prepare-tier fields: the cube-shaping ones plus the prepare
 #: *mechanics* (cache persistence).  A per-call config that changes any
 #: of these is served by a one-off session over the same data with that
-#: config, which derives its cube from this session's ledger when it can
-#: and otherwise prepares its own — so a one-off ``cache_dir`` override
-#: still builds and stores on disk.
+#: config, which prepares its own cube — so a one-off ``cache_dir``
+#: override still builds and stores on disk.
 PREPARE_FIELDS = CUBE_FIELDS + ("cache_dir", "cache_max_entries")
 
 #: :class:`ExplainConfig` fields that select a derived scorer.  Together
@@ -302,13 +300,22 @@ class ExplainSession:
         back to the router, which promotes shapes that keep missing.
         :attr:`route_info` records the decision.
         """
+        from repro.lattice.spec import RollupSpec
+
         session = cls(data, **kwargs)
         if session.cube_key().fingerprint != router.fingerprint:
             raise QueryError(
                 f"the lattice router is keyed by {router.fingerprint!r}, "
                 "not by the data this session binds"
             )
-        spec = session._rollup_spec(session.config)
+        config = session.config
+        spec = RollupSpec(
+            dims=session.explain_by,
+            measure=session.measure,
+            aggregate=session.aggregate,
+            max_order=config.max_order,
+            deduplicate=config.deduplicate,
+        )
         cube, info = router.route(spec)
         if cube is not None:
             session.adopt_snapshot(cube)
@@ -316,18 +323,6 @@ class ExplainSession:
             router.record_build(spec, session.prepare().cube)
         session._route_info = info
         return session
-
-    def _rollup_spec(self, config: ExplainConfig) -> "RollupSpec":
-        """The rollup shape of this session's cube request under ``config``."""
-        from repro.lattice.spec import RollupSpec
-
-        return RollupSpec(
-            dims=self._explain_by,
-            measure=self._measure,
-            aggregate=self._aggregate,
-            max_order=config.max_order,
-            deduplicate=config.deduplicate,
-        )
 
     @property
     def route_info(self) -> "RouteInfo | None":
@@ -681,8 +676,7 @@ class ExplainSession:
             changes a prepare-tier field (``PREPARE_FIELDS``) is served by
             a one-off session over the same data with that config
             (:meth:`_one_off`): a different ``max_order``/``deduplicate``
-            cannot be served from this session's cube (though often from
-            a rollup derived from its ledger), and a one-off
+            cannot be served from this session's cube, and a one-off
             ``cache_dir`` keeps its on-disk store.
 
         The call is one ``explain`` span
@@ -739,17 +733,10 @@ class ExplainSession:
     def _one_off(self, config: ExplainConfig) -> "ExplainSession":
         """A session over this one's data with a prepare-tier override.
 
-        When the override changes only ``max_order``/``deduplicate`` and
-        this session's prepared cube keeps its ledger, the one-off adopts
-        the rollup derived from that ledger
-        (:func:`~repro.lattice.derive.derive_rollup`: byte-identical to a
-        build, and no source row is read).  Otherwise it prepares its own
-        cube through the one cache-or-build path.  Either way this
-        session's cube and scorer LRU stay untouched.
+        It prepares its own cube through the one cache-or-build path and
+        leaves this session's cube and scorer LRU untouched.
         """
-        from repro.lattice.derive import can_derive, derive_rollup, spec_of_cube
-
-        session = ExplainSession(
+        return ExplainSession(
             self._source,
             self._measure,
             self._explain_by,
@@ -758,18 +745,6 @@ class ExplainSession:
             config=config,
             chunk_rows=self._chunk_rows,
         )
-        own_shape = {field: getattr(self._config, field) for field in CUBE_FIELDS}
-        target = self._rollup_spec(config)
-        with self._lock:
-            cube = self._cube
-            if (
-                not self._overrides_prepare(config.updated(**own_shape))
-                and cube is not None
-                and cube.appendable
-                and can_derive(spec_of_cube(cube), target)
-            ):
-                session.adopt_snapshot(derive_rollup(cube, target))
-        return session
 
     def _memoize(
         self,

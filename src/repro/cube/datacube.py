@@ -264,7 +264,9 @@ class ExplanationCube:
         ``delta(E) = [f(R_t) - f(R_c)] - [f(R_t - sigma_E R_t) - f(R_c -
         sigma_E R_c)]``; ``|delta|`` is the absolute-change score
         (Definition 3.2) and ``sign(delta)`` the change effect ``tau``
-        (Definition 3.3).
+        (Definition 3.3).  With equal-shape arrays for ``start``, ``stop``
+        and ``indices`` it is element-wise: candidate ``indices[s]`` over
+        segment ``s``.
         """
         overall_change = self._overall[stop] - self._overall[start]
         if indices is None:

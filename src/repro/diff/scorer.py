@@ -85,6 +85,16 @@ class SegmentScorer:
         self._check_segment(start, stop)
         return change_effect(self._cube.signed_contributions(start, stop, indices))
 
+    def tau_at(
+        self, starts: np.ndarray, stops: np.ndarray, indices: np.ndarray
+    ) -> np.ndarray:
+        """``tau`` of candidate ``indices[s]`` over segment ``s`` alone, for
+        a batch: the winners' change effects of many segments in one
+        gather, without the ``(epsilon, n_segments)`` tau matrix."""
+        starts, stops = self._coerce_segments(starts, stops)
+        contributions = self._cube.signed_contributions(starts, stops, indices)
+        return change_effect(contributions).astype(np.int8)
+
     def gamma_tau(
         self, start: int, stop: int, indices: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -145,8 +155,7 @@ class SegmentScorer:
         Same ``(epsilon, n_segments)`` layout as :meth:`gamma_tau_many`
         but without materializing the tau matrix — the right call when
         change effects are needed only for a few winning candidates per
-        segment, as segment costs gather them for a whole batch at once
-        (:class:`~repro.segmentation.variance.SegmentationCosts`).
+        segment (fetch those afterwards with :meth:`tau_at`).
         """
         _, scores = self._score_many(starts, stops)
         return scores

@@ -36,7 +36,6 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from repro.ca.cascade import TopMBatch, TopMResult
-from repro.diff.metrics import change_effect
 from repro.diff.scorer import SegmentScorer
 from repro.exceptions import SegmentationError
 from repro.obs import trace
@@ -326,7 +325,7 @@ class SegmentationCosts:
         tau = np.empty((n_explanations, 0), dtype=np.int8)
         if starts.size:
             gamma, tau = self._scorer.gamma_tau_many(starts, stops)
-            solved = self._attach_taus(self._solve(gamma.T), starts, stops)
+            solved = _attach_taus(self._solve(gamma.T), lambda rows, index: tau[index, rows])
             self._batch.put(slice(keep_units, self._n_units), solved)
         if previous is not None:
             gamma = np.concatenate([previous._gamma_unit[:, :keep_units], gamma], axis=1)
@@ -398,20 +397,10 @@ class SegmentationCosts:
     def _solve_segments(self, starts: np.ndarray, stops: np.ndarray) -> TopMBatch:
         """Solve top-m for segments given by original-position arrays."""
         gammas = self._scorer.gamma_many(starts, stops)
-        return self._attach_taus(self._solve(gammas.T), starts, stops)
-
-    def _attach_taus(self, batch: TopMBatch, starts: np.ndarray, stops: np.ndarray) -> TopMBatch:
-        """Attach each selection's change effect on its own segment,
-        ``sign(delta overall - delta excluded)``, gathered at the filled
-        ranks only (the padding's candidate 0 may not exist)."""
-        cube = self._scorer.cube
-        overall, excluded = cube.overall_values, cube.excluded_values
-        rows, ranks = np.nonzero(batch.valid)
-        index, lo, hi = batch.indices[rows, ranks], starts[rows], stops[rows]
-        delta = (overall[hi] - overall[lo]) - (excluded[index, hi] - excluded[index, lo])
-        batch.taus = np.zeros(batch.indices.shape, dtype=np.int8)
-        batch.taus[rows, ranks] = change_effect(delta)
-        return batch
+        return _attach_taus(
+            self._solve(gammas.T),
+            lambda rows, index: self._scorer.tau_at(starts[rows], stops[rows], index),
+        )
 
     # ------------------------------------------------------------------
     # Centroid-structured variants (tse, dist1, dist2, S-variants)
@@ -465,17 +454,9 @@ class SegmentationCosts:
             float(np.dot(self._batch.gammas[row, :k], weights[:k])) if k else 0.0
         )
         if ideal_centroid > 0.0:
-            cube = self._scorer.cube
-            overall_change = (
-                cube.overall_values[stop_pos] - cube.overall_values[start_pos]
-            )
-            obj_idx = self._unit_idx[span]  # (L, m)
-            excluded = cube.excluded_values
-            delta = overall_change - (
-                excluded[obj_idx, stop_pos] - excluded[obj_idx, start_pos]
-            )
-            rel = self._scorer.metric.score(delta, overall_change)
-            agree = np.sign(delta).astype(np.int8) == self._unit_tau[span]
+            # The objects' winners (L, m) scored over the centroid segment.
+            rel, tau = self._scorer.gamma_tau(start_pos, stop_pos, self._unit_idx[span])
+            agree = tau == self._unit_tau[span]
             masked = rel * agree * self._unit_valid[span]
             numerator_back = masked @ weights
             obj_explains_centroid = np.minimum(numerator_back / ideal_centroid, 1.0)
@@ -548,6 +529,16 @@ def scheme_total_variance(
     """
     pairs = zip(boundaries, boundaries[1:])
     return costs.total_cost(boundaries), [costs.variance(i, j) for i, j in pairs]
+
+
+def _attach_taus(batch: TopMBatch, gather) -> TopMBatch:
+    """Attach each selection's change effect on its own segment,
+    ``gather(rows, indices)``, at the filled ranks only (the padding's
+    candidate 0 may not exist)."""
+    rows, ranks = np.nonzero(batch.valid)
+    batch.taus = np.zeros(batch.indices.shape, dtype=np.int8)
+    batch.taus[rows, ranks] = gather(rows, batch.indices[rows, ranks])
+    return batch
 
 
 def _cut_grid(

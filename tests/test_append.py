@@ -252,6 +252,13 @@ class TestCostsExtend:
         with pytest.raises(SegmentationError, match="at least as long"):
             costs.extend(SegmentScorer(small), solver)
 
+    def test_extend_requires_the_same_quota(self):
+        cube = ExplanationCube(day_rows(range(10)), ["cat"], "m")
+        scorer, solver, costs = self._costs_for(cube, m=3)
+        other = CascadingAnalysts(DrillDownTree(cube.explanations), m=2)
+        with pytest.raises(SegmentationError, match="m=3, got m=2"):
+            costs.extend(scorer, other)
+
     def test_extend_matches_fresh_costs_after_late_arrivals(self):
         cube = ExplanationCube(day_rows(range(12)), ["cat"], "m")
         scorer, solver, costs = self._costs_for(cube)

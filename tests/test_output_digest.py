@@ -1,0 +1,23 @@
+"""Smoke test of the output-equivalence harness (``benchmarks/output_digest.py``).
+
+The full corpus runs for about a minute; this keeps the script working as
+the APIs it drives change, on one dataset, one variant and one stream.
+"""
+
+import runpy
+from pathlib import Path
+
+SCRIPT = Path(__file__).parent.parent / "benchmarks" / "output_digest.py"
+
+
+def test_digest_covers_a_small_slice():
+    harness = runpy.run_path(str(SCRIPT))
+    sources = [
+        harness["dataset_records"]("covid-total", variants=("tse",)),
+        harness["stream_records"]("pinned"),
+    ]
+    count, sha = harness["digest"](sources)
+    # 2 sketch settings x 3 windows x 2 k; 7 extra queries; a base and
+    # one result per streamed day.
+    assert count == 12 + 7 + 1 + harness["STREAM_DAYS"]
+    assert len(sha) == 64

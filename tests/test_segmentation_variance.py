@@ -4,12 +4,32 @@ import numpy as np
 import pytest
 
 from repro.ca.cascade import CascadingAnalysts, DrillDownTree
+from repro.ca.guess_verify import GuessAndVerify
 from repro.cube.datacube import ExplanationCube
 from repro.diff.scorer import SegmentScorer
 from repro.exceptions import SegmentationError
 from repro.segmentation.distance import VARIANTS, explanation_distance
 from repro.segmentation.variance import SegmentationCosts, scheme_total_variance
-from tests.conftest import assert_batch_format, regime_relation, two_attr_relation
+from tests.conftest import (
+    assert_batch_format,
+    build_relation,
+    regime_relation,
+    two_attr_relation,
+)
+
+
+def noisy_relation(n_times: int, seed: int = 0):
+    """Two attributes with small random integer values: changes of both
+    signs, and tied gammas."""
+    rng = np.random.default_rng(seed)
+    grid = [(t, a, b) for t in range(n_times) for a in "xyz" for b in "pq"]
+    columns = {
+        "t": [f"t{t:02d}" for t, _, _ in grid],
+        "a": [a for _, a, _ in grid],
+        "b": [b for _, _, b in grid],
+        "m": rng.integers(0, 4, len(grid)).astype(float).tolist(),
+    }
+    return build_relation(columns, ["a", "b"], ["m"], time="t")
 
 
 def make_parts(relation, explain_by, measure, m=3):
@@ -161,16 +181,48 @@ def test_multi_attribute_costs_consistent():
 
 @pytest.mark.parametrize(
     "relation, explain_by, measure",
-    [(regime_relation(), ["cat"], "sales"), (two_attr_relation(), ["a", "b"], "m")],
-    ids=["flat", "hierarchical"],
+    [
+        (regime_relation(), ["cat"], "sales"),
+        (two_attr_relation(), ["a", "b"], "m"),
+        (noisy_relation(16), ["a", "b"], "m"),
+    ],
+    ids=["flat", "hierarchical", "mixed-signs"],
 )
 def test_segment_taus_are_the_winners_change_effects(relation, explain_by, measure):
     """The one batch holds every answer with its change effects: each
-    segment's taus are ``tau`` at its winners, and the padding is 0."""
+    unit's and segment's taus are ``tau`` at its winners, and the
+    padding is 0."""
     scorer, solver = make_parts(relation, explain_by, measure)
     costs = SegmentationCosts(scorer, solver)
     assert_batch_format(costs._batch, costs.m)
-    for start, stop in [(0, 1), (0, 4), (3, 9), (2, 15)]:
+    units = [(x, x + 1) for x in range(costs.n_points - 1)]
+    for start, stop in units + [(0, 4), (3, 9), (2, 15)]:
         result = costs.segment_result(start, stop)
         winners = np.asarray(result.indices, dtype=np.intp)
         assert result.taus == tuple(int(t) for t in scorer.tau(start, stop, winners))
+
+
+def test_allpair_single_objects_read_their_unit_rows():
+    """Under ``allpair`` a single-object segment reports its unit's row of
+    the units' one batch, as under every variant.  Guess-and-verify's
+    restricted DAG is the union of a batch's rows, so a one-row solve of
+    the same gammas reaches the same optimum but may pick another tied
+    selection; this pins which one the costs report."""
+    cube = ExplanationCube(noisy_relation(8), ["a", "b"], "m")
+    scorer = SegmentScorer(cube)
+
+    def solver():
+        return GuessAndVerify(cube.explanations, m=2, initial_guess=2)
+
+    costs = SegmentationCosts(scorer, solver(), variant="allpair")
+    gammas = [scorer.gamma(x, x + 1) for x in range(cube.n_times - 1)]
+    units = solver().solve_batch(np.stack(gammas))
+    ties = 0
+    for x, gamma in enumerate(gammas):
+        result = costs.segment_result(x, x + 1)
+        alone = solver().solve(gamma)
+        assert result == costs.unit_result(x)
+        assert result.indices == units[x].indices
+        assert result.total == alone.total
+        ties += result.indices != alone.indices
+    assert ties  # unit 4 reports (2, 8); solved alone it picks (2, 6)

@@ -9,7 +9,6 @@ from repro.core.session import ExplainSession
 from repro.core.streaming import StreamingExplainer
 from repro.exceptions import ConfigError, QueryError
 from repro.obs.trace import start_trace
-from repro.relation.csvio import write_csv
 from repro.relation.predicates import Conjunction
 from repro.relation.timeseries import TimeSeries
 from tests.conftest import regime_relation, two_attr_relation
@@ -256,27 +255,6 @@ class TestSessionReuse:
             (key, derived, dict(derived.solved))
             for key, derived in session._scorers.items()
         ] == entries
-
-    def test_derivable_override_reads_no_source_row(self, multi_relation, tmp_path):
-        """A ``max_order`` override takes its cube from the session's
-        ledger, so it still answers after the bound CSV is deleted."""
-        path = tmp_path / "multi.csv"
-        write_csv(multi_relation, path)
-        uri = f"csv:{path}?time=t&dims=a,b&measure=m"
-        config = ExplainConfig(use_filter=False, k=2)
-        session = ExplainSession(uri, config=config).prepare()
-        override = config.updated(max_order=1)
-        fresh = ExplainSession(uri, config=override)
-        expected = fresh.explain("t002", "t013")
-        expected_top = fresh.top_explanations("t002", "t013")
-        path.unlink()
-
-        result = session.explain("t002", "t013", config=override)
-        top = session.top_explanations("t002", "t013", config=override)
-        assert result_fingerprint(result) == result_fingerprint(expected)
-        assert [(repr(s.explanation), s.gamma.hex(), s.tau) for s in top] == [
-            (repr(s.explanation), s.gamma.hex(), s.tau) for s in expected_top
-        ]
 
     def test_scorer_rejects_cube_shaping_override(self, multi_relation):
         session = ExplainSession(multi_relation, "m", ["a", "b"], k=2)

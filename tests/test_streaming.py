@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.config import ExplainConfig
+from repro.core.pipeline import make_solver
 from repro.core.streaming import StreamingExplainer
 from repro.exceptions import QueryError
 from repro.relation.schema import Schema
 from repro.relation.table import Relation
+from repro.segmentation.variance import SegmentationCosts
 from tests.conftest import regime_relation
 
 
@@ -158,6 +160,25 @@ def test_incremental_matches_full_rerun_on_stable_data(explainer):
     ).refresh()
     # The incremental cut must be (nearly) the full rerun's cut.
     assert abs(incremental.cuts[0] - full.cuts[0]) <= 1
+
+
+def test_costs_of_another_quota_fall_back_to_a_fresh_build(explainer):
+    """Costs whose solver had another ``m`` refuse to extend; the update
+    then builds fresh costs and reports what an extending update does."""
+    config = ExplainConfig(use_filter=False, k=2)
+    control = StreamingExplainer(
+        regime_relation(), measure="sales", explain_by=["cat"], config=config
+    )
+
+    def day(t):
+        return rows_for([t], lambda t, cat: 10.0 + 5.0 * (t - 12) if cat == "b" else 7.0)
+
+    for stream in (explainer, control):
+        stream.refresh()
+        stream.update(day(24))
+    scorer = explainer.session().scorer()
+    explainer._costs = SegmentationCosts(scorer, make_solver(scorer, config.updated(m=2)))
+    assert result_print(explainer.update(day(25))) == result_print(control.update(day(25)))
 
 
 def test_empty_delta_update_is_a_noop(explainer):
