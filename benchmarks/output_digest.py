@@ -11,12 +11,15 @@ the total variance and epsilon (floats hashed as ``float.hex``).  Run it
 at a parent commit and at a change that claims identical outputs, and
 compare the two lines.
 
-The corpus, about 40 s on a 2-vCPU host (`tests/test_output_digest.py`
+The corpus, 30–45 s on a 2-vCPU host (`tests/test_output_digest.py`
 runs a slice of it):
 
 * covid-total, covid-daily and sp500 (optimized configuration, each with
   its paper smoothing) × variants tse/allpair/dist1/Sdist2 × sketch on
   and off × three ~60-point windows × k auto and k=4;
+* liquor, the same grid over variants tse and allpair only: its
+  drill-down DAG is the corpus's one that nests several levels (covid's
+  is flat, sp500's a root over leaves), and it is the slowest dataset;
 * per dataset, on the middle window: a vanilla explain, a two-point
   diff, a ``recommend`` ranking, ``m`` 2 and 5, and ``max_order`` 1
   and 2 (the prepare-tier override path);
@@ -35,8 +38,14 @@ from repro.core.session import ExplainSession
 from repro.core.streaming import StreamingExplainer
 from repro.datasets import load_dataset
 
-DATASETS = ("covid-total", "covid-daily", "sp500")
 VARIANTS = ("tse", "allpair", "dist1", "Sdist2")
+#: ``(dataset, variants)`` pairs of the corpus, in hashing order.
+DATASETS = (
+    ("covid-total", VARIANTS),
+    ("covid-daily", VARIANTS),
+    ("sp500", VARIANTS),
+    ("liquor", ("tse", "allpair")),
+)
 WINDOW_POINTS = 60
 STREAM_DAYS = 12
 
@@ -135,7 +144,7 @@ def digest(sources) -> tuple[int, str]:
 
 
 def main() -> None:
-    sources = [dataset_records(name) for name in DATASETS]
+    sources = [dataset_records(name, variants) for name, variants in DATASETS]
     sources += [stream_records("pinned"), stream_records("full")]
     count, sha = digest(sources)
     print(f"results={count} sha256={sha}")

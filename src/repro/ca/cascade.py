@@ -25,9 +25,10 @@ Batch evaluation
 TSExplain needs ``E*_m`` for every one of ``O(n^2)`` segments.  The DAG is
 static across segments — only the ``gamma`` vector changes — so
 :meth:`CascadingAnalysts.solve_batch` runs the DP once with value tables
-vectorized over a chunk of segments, then reconstructs each segment's
-selection by walking its optimal decisions.  The answer is one
-:class:`TopMBatch` of arrays, one row per segment.
+vectorized over a chunk of segments, keeping every child's knapsack state.
+It then reconstructs each segment's selection by walking its optimal
+decisions back through those states, re-solving no knapsack.  The answer
+is one :class:`TopMBatch` of arrays, one row per segment.
 """
 
 from __future__ import annotations
@@ -177,8 +178,10 @@ class DrillDownTree:
 
         # Children grouped by drill-down dimension.
         children: list[dict[str, list[int]]] = [dict() for _ in conjs]
+        self._n_edges = 0
         for node in range(1, len(conjs)):
             conjunction = conjs[node]
+            self._n_edges += conjunction.order
             for drop in range(conjunction.order):
                 items = conjunction.items
                 parent_conj = Conjunction.from_items(items[:drop] + items[drop + 1 :])
@@ -202,6 +205,11 @@ class DrillDownTree:
     @property
     def n_nodes(self) -> int:
         return len(self._conjunctions)
+
+    @property
+    def n_edges(self) -> int:
+        """Parent-child links (a node of order k has k parents)."""
+        return self._n_edges
 
     @property
     def n_candidates(self) -> int:
@@ -319,7 +327,9 @@ class CascadingAnalysts:
         if self._tree.is_flat:
             return self._solve_flat(gammas)
         if chunk_size is None:
-            bytes_per_segment = 8 * (self._m + 1) * max(self._tree.n_nodes, 1)
+            # A value table per node and a knapsack state per edge.
+            tree = self._tree
+            bytes_per_segment = 8 * (self._m + 1) * (tree.n_nodes + tree.n_edges)
             chunk_size = int(np.clip(48_000_000 // bytes_per_segment, 16, 1024))
         batch = TopMBatch.zeros(gammas.shape[0], self._m)
         for offset in range(0, gammas.shape[0], chunk_size):
@@ -356,130 +366,102 @@ class CascadingAnalysts:
         tree = self._tree
         m = self._m
         n_segments = gammas.shape[0]
-        tables: dict[int, np.ndarray] = {}
+        zero = np.zeros((n_segments, m + 1))
+        # One buffer of value tables (by node) and one of knapsack states
+        # (by edge) for the whole chunk.  (node, group index) -> the group's
+        # (n_kids, n_segments, m + 1) states: state p is the best total over
+        # the group's first p + 1 children.
+        values = np.zeros((tree.n_nodes, n_segments, m + 1))
+        edges = np.zeros((tree.n_edges, n_segments, m + 1))
+        states: dict[tuple[int, int], np.ndarray] = {}
+        used = 0
 
         for node in tree.iter_topological():
-            candidate = tree.candidate_of(node)
-            groups = tree.children_of(node)
-            value: np.ndarray | None = None
-            for _, kids in groups:
-                knapsack = np.zeros((n_segments, m + 1), dtype=np.float64)
-                for child in kids:
-                    child_value = tables[child]
+            value = values[node]
+            for group, (_, kids) in enumerate(tree.children_of(node)):
+                knapsacks = states[node, group] = edges[used : used + len(kids)]
+                used += len(kids)
+                previous = zero
+                for state, child in zip(knapsacks, kids):
+                    child_value = values[child]
                     for x in range(m, 0, -1):
-                        best = knapsack[:, x]
+                        best = previous[:, x]
                         for y in range(1, x + 1):
-                            best = np.maximum(best, knapsack[:, x - y] + child_value[:, y])
-                        knapsack[:, x] = best
-                value = knapsack if value is None else np.maximum(value, knapsack)
-            if value is None:
-                value = np.zeros((n_segments, m + 1), dtype=np.float64)
+                            best = np.maximum(best, previous[:, x - y] + child_value[:, y])
+                        state[:, x] = best
+                    previous = state
+                np.maximum(value, previous, out=value)
+            candidate = tree.candidate_of(node)
             if candidate >= 0:
                 np.maximum(value[:, 1:], gammas[:, candidate, None], out=value[:, 1:])
-            tables[node] = value
 
-        batch.best[offset : offset + n_segments] = tables[_ROOT]
+        batch.best[offset : offset + n_segments] = values[_ROOT]
         for segment in range(n_segments):
-            self._reconstruct(segment, gammas, tables, batch, offset + segment)
+            selected: list[int] = []
+            self._walk(_ROOT, m, segment, gammas, values, states, selected)
+            ranked = sorted(selected, key=lambda c: (-gammas[segment, c], c))
+            row, k = offset + segment, len(ranked)
+            batch.counts[row] = k
+            batch.indices[row, :k] = ranked
+            batch.gammas[row, :k] = gammas[segment, ranked]
 
     # ------------------------------------------------------------------
     # Per-segment reconstruction of the optimal selection
     # ------------------------------------------------------------------
-    def _reconstruct(
-        self,
-        segment: int,
-        gammas: np.ndarray,
-        tables: dict[int, np.ndarray],
-        batch: TopMBatch,
-        row: int,
-    ) -> None:
-        """Write ``segment``'s optimal selection into ``batch`` row ``row``."""
-        selected: list[int] = []
-        self._walk(_ROOT, self._m, segment, gammas, tables, selected)
-        ranked = sorted(
-            selected, key=lambda candidate: (-gammas[segment, candidate], candidate)
-        )
-        k = len(ranked)
-        batch.counts[row] = k
-        batch.indices[row, :k] = ranked
-        batch.gammas[row, :k] = gammas[segment, ranked]
-
     def _walk(
         self,
         node: int,
         quota: int,
         segment: int,
         gammas: np.ndarray,
-        tables: dict[int, np.ndarray],
+        values: np.ndarray,
+        states: dict[tuple[int, int], np.ndarray],
         selected: list[int],
     ) -> None:
-        """Re-derive the decision at ``node`` with ``quota`` and recurse."""
+        """Add ``segment``'s optimal selection below ``node`` with ``quota``.
+
+        The node itself counts with its gamma, a dimension group with its
+        last knapsack state; an option must beat the best so far strictly,
+        so the node wins ties, then the first dimension, and nothing is
+        taken when every option is 0.  A drill backtracks through the
+        group's states without re-solving them: allocation 0 adds
+        ``child[0] == 0``, so a child took quota exactly where the state
+        grew over the one before it.  The walk jumps to the last such
+        child, gives it the first allocation that reproduces its state,
+        and goes on before it with the rest: at most ``quota`` jumps.
+        """
         if quota <= 0:
             return
         tree = self._tree
         candidate = tree.candidate_of(node)
         best_value = 0.0
-        best_choice: tuple | None = None
-        if candidate >= 0:
-            self_value = float(gammas[segment, candidate])
-            if self_value > best_value:
-                best_value = self_value
-                best_choice = ("self",)
-        for dim, kids in tree.children_of(node):
-            table = self._scalar_knapsack(kids, quota, segment, tables)
-            drill_value = table[-1][quota]
+        choice: int | None = None  # -1: the node itself, g >= 0: group g
+        if candidate >= 0 and gammas[segment, candidate] > best_value:
+            best_value, choice = gammas[segment, candidate], -1
+        for group in range(len(tree.children_of(node))):
+            drill_value = states[node, group][-1, segment, quota]
             if drill_value > best_value:
-                best_value = drill_value
-                best_choice = ("drill", kids, table)
-        if best_choice is None:
+                best_value, choice = drill_value, group
+        if choice is None:
             return
-        if best_choice[0] == "self":
+        if choice < 0:
             selected.append(candidate)
             return
-        _, kids, table = best_choice
-        remaining = quota
-        for position in range(len(kids), 0, -1):
-            child_value = tables[kids[position - 1]][segment]
-            target = table[position][remaining]
-            for allocation in range(0, remaining + 1):
-                if table[position - 1][remaining - allocation] + child_value[allocation] == target:
-                    if allocation > 0:
-                        self._walk(
-                            kids[position - 1],
-                            allocation,
-                            segment,
-                            gammas,
-                            tables,
-                            selected,
-                        )
-                    remaining -= allocation
+        kids = tree.children_of(node)[choice][1]
+        knapsacks = states[node, choice]
+        remaining, end = quota, len(kids)
+        while remaining:
+            column = knapsacks[:end, segment, remaining]
+            grew = np.flatnonzero(column > np.concatenate(([0.0], column[:-1])))
+            if not grew.size:
+                return
+            end = int(grew[-1])
+            before = knapsacks[end - 1, segment] if end else np.zeros(remaining + 1)
+            child_value = values[kids[end], segment]
+            for allocation in range(1, remaining + 1):
+                if before[remaining - allocation] + child_value[allocation] == column[end]:
                     break
             else:  # pragma: no cover - float safety net, not expected to trigger
                 raise ExplanationError("knapsack backtracking failed")
-
-    def _scalar_knapsack(
-        self,
-        kids: tuple[int, ...],
-        quota: int,
-        segment: int,
-        tables: dict[int, np.ndarray],
-    ) -> list[list[float]]:
-        """Quota-allocation DP over one dimension's children, with history.
-
-        ``table[i][x]`` is the best total using the first ``i`` children and
-        ``x`` quotas; the full history enables exact backtracking.
-        """
-        table = [[0.0] * (quota + 1)]
-        for child in kids:
-            child_value = tables[child][segment]
-            previous = table[-1]
-            row = [0.0] * (quota + 1)
-            for x in range(quota + 1):
-                best = previous[x]
-                for y in range(1, x + 1):
-                    value = previous[x - y] + float(child_value[y])
-                    if value > best:
-                        best = value
-                row[x] = best
-            table.append(row)
-        return table
+            self._walk(kids[end], allocation, segment, gammas, values, states, selected)
+            remaining -= allocation

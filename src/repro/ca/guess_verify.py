@@ -61,6 +61,12 @@ class GuessAndVerify:
         Explanation quota.
     initial_guess:
         Starting prefix size ``m_bar`` (paper: 30 for m=3).
+
+    A row's total ``best[m]`` is the verified optimum whichever rows share
+    its batch.  Among tied optima, its selection and its ``best[m']`` for
+    ``m' < m`` may depend on them: the restricted DAG is the union of every
+    pending row's prefix, so a row solved alone or in another batch may
+    pick another selection of the same total.
     """
 
     def __init__(

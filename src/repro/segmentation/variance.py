@@ -474,10 +474,12 @@ class SegmentationCosts:
     # ------------------------------------------------------------------
     def _fill_costs_allpair(self) -> None:
         n_units = self._n_units
-        # ndcg_pair[x, y] = NDCG(object_x, E*(object_y)) for all unit pairs.
-        rel = self._gamma_unit[self._unit_idx]  # (n_units, m, n_units): [y, r, x]
-        agree = self._tau_unit[self._unit_idx] == self._unit_tau[:, :, None]
-        masked = rel * agree * self._unit_valid[:, :, None]
+        # ndcg_pair[x, y] = NDCG(object_x, E*(object_y)) for all unit pairs,
+        # gathered at filled ranks only (the padding's candidate 0 may not exist).
+        y, r = np.nonzero(self._unit_valid)
+        index = self._unit_idx[y, r]
+        masked = np.zeros((n_units, self._m, n_units))  # [y, r, x]
+        masked[y, r] = self._gamma_unit[index] * (self._tau_unit[index] == self._unit_tau[y, r, None])
         numerator = np.einsum("yrx,r->yx", masked, self._weights)
         ndcg_pair = np.ones((n_units, n_units))
         positive = self._ideal_unit > 0.0

@@ -35,7 +35,10 @@ def top_m_inputs(draw, max_candidates: int = 12):
         candidates = draw(st.permutations(CONJUNCTION_POOL))[:size]
     n = len(candidates)
     rows = draw(st.integers(1, 6))
-    scores = st.sampled_from([0.0, 1.0, 2.5]) | st.floats(0, 100, allow_nan=False)
+    # Either scores that tie singly and in sums (1 + 1 = 2, 1 + 2.5 = 3.5,
+    # 3.5 + 3.5 = 7; 0.1 + 0.2 is inexact) or arbitrary ones with zeros.
+    ties = st.sampled_from([0.0, 1.0, 2.0, 2.5, 3.5, 7.0, 0.1 + 0.2])
+    scores = draw(st.sampled_from([ties, st.just(0.0) | st.floats(0, 100, allow_nan=False)]))
     matrix = st.lists(st.lists(scores, min_size=n, max_size=n), min_size=rows, max_size=rows)
     gammas = np.asarray(draw(matrix), dtype=np.float64).reshape(rows, n)
     zero_rows = draw(st.lists(st.booleans(), min_size=rows, max_size=rows))

@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.ca.bruteforce import cascading_optimum, is_non_overlapping
-from repro.ca.cascade import CascadingAnalysts, DrillDownTree, single_attribute
+from repro.ca.cascade import CascadingAnalysts, DrillDownTree, TopMBatch, single_attribute
 from repro.exceptions import ExplanationError
 from repro.relation.predicates import Conjunction
 from tests.conftest import assert_batch_format, top_m_inputs
@@ -34,8 +34,12 @@ def test_tree_structure_flat():
 def test_tree_structure_dag():
     tree = DrillDownTree(grid_candidates())
     assert not tree.is_flat
-    # root + 4 order-1 + 4 order-2
+    # root + 4 order-1 + 4 order-2; each node links to one parent per item
     assert tree.n_nodes == 9
+    assert tree.n_edges == 4 * 1 + 4 * 2
+    assert tree.n_edges == sum(
+        len(kids) for node in range(tree.n_nodes) for _, kids in tree.children_of(node)
+    )
     # (A=0 & B=0) must be reachable from both parents.
     groups = dict(tree.children_of(0))
     assert set(groups) == {"A", "B"}
@@ -197,3 +201,111 @@ def test_batch_rows_are_single_solves(inputs, chunk_size):
         assert result == solver.solve(gammas[row])
         assert result.total == pytest.approx(cascading_optimum(candidates, gammas[row], m))
         assert is_non_overlapping([candidates[i] for i in result.indices])
+
+
+# ----------------------------------------------------------------------
+# Scalar reference: the forward pass with one knapsack overwritten in
+# place per group, then each visited node's knapsacks re-solved in scalar
+# Python with their full history to backtrack through.
+# ----------------------------------------------------------------------
+def scalar_reference(tree: DrillDownTree, gammas: np.ndarray, m: int) -> TopMBatch:
+    n_rows = gammas.shape[0]
+    tables: dict[int, np.ndarray] = {}
+    for node in tree.iter_topological():
+        value = None
+        for _, kids in tree.children_of(node):
+            knapsack = np.zeros((n_rows, m + 1))
+            for child in kids:
+                for x in range(m, 0, -1):
+                    best = knapsack[:, x]
+                    for y in range(1, x + 1):
+                        best = np.maximum(best, knapsack[:, x - y] + tables[child][:, y])
+                    knapsack[:, x] = best
+            value = knapsack if value is None else np.maximum(value, knapsack)
+        if value is None:
+            value = np.zeros((n_rows, m + 1))
+        candidate = tree.candidate_of(node)
+        if candidate >= 0:
+            np.maximum(value[:, 1:], gammas[:, candidate, None], out=value[:, 1:])
+        tables[node] = value
+
+    batch = TopMBatch.zeros(n_rows, m)
+    batch.best[:] = tables[0]
+    for row in range(n_rows):
+        selected: list[int] = []
+        _scalar_walk(tree, 0, m, gammas[row], {n: t[row] for n, t in tables.items()}, selected)
+        ranked = sorted(selected, key=lambda candidate: (-gammas[row, candidate], candidate))
+        batch.counts[row] = len(ranked)
+        batch.indices[row, : len(ranked)] = ranked
+        batch.gammas[row, : len(ranked)] = gammas[row, ranked]
+    return batch
+
+
+def _scalar_walk(tree, node, quota, gamma, tables, selected) -> None:
+    if quota <= 0:
+        return
+    candidate = tree.candidate_of(node)
+    best_value = 0.0
+    best_choice = None
+    if candidate >= 0 and float(gamma[candidate]) > best_value:
+        best_value = float(gamma[candidate])
+        best_choice = ("self",)
+    for _, kids in tree.children_of(node):
+        table = _scalar_knapsack(kids, quota, tables)
+        if table[-1][quota] > best_value:
+            best_value = table[-1][quota]
+            best_choice = ("drill", kids, table)
+    if best_choice is None:
+        return
+    if best_choice[0] == "self":
+        selected.append(candidate)
+        return
+    _, kids, table = best_choice
+    remaining = quota
+    for position in range(len(kids), 0, -1):
+        child_value = tables[kids[position - 1]]
+        for allocation in range(0, remaining + 1):
+            before = table[position - 1][remaining - allocation]
+            if before + child_value[allocation] == table[position][remaining]:
+                if allocation > 0:
+                    _scalar_walk(tree, kids[position - 1], allocation, gamma, tables, selected)
+                remaining -= allocation
+                break
+        else:
+            raise AssertionError("knapsack backtracking failed")
+
+
+def _scalar_knapsack(kids, quota, tables) -> list[list[float]]:
+    """``table[i][x]``: the best total over the first ``i`` children with ``x`` quotas."""
+    table = [[0.0] * (quota + 1)]
+    for child in kids:
+        previous = table[-1]
+        row = [0.0] * (quota + 1)
+        for x in range(quota + 1):
+            best = previous[x]
+            for y in range(1, x + 1):
+                value = previous[x - y] + float(tables[child][y])
+                if value > best:
+                    best = value
+            row[x] = best
+        table.append(row)
+    return table
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=top_m_inputs(max_candidates=39), chunk_size=st.sampled_from([None, 1, 2, 5]))
+def test_backtracking_matches_the_scalar_reference(inputs, chunk_size):
+    """Backtracking through the forward pass's knapsack states selects
+    exactly what re-solving each visited node's knapsack in scalar Python
+    selects, tie for tie, and reaches the brute-force optimum."""
+    candidates, gammas, m = inputs
+    tree = DrillDownTree(candidates)
+    assume(not tree.is_flat)  # the flat fast path never walks the DAG
+    batch = CascadingAnalysts(tree, m=m).solve_batch(gammas, chunk_size=chunk_size)
+    reference = scalar_reference(tree, gammas, m)
+    for row in range(gammas.shape[0]):
+        for field in ("indices", "gammas", "best", "counts"):
+            assert np.array_equal(getattr(batch, field)[row], getattr(reference, field)[row])
+        # The brute force adds in another order, so the totals agree to rounding.
+        expected = cascading_optimum(candidates, gammas[row], m)
+        assert batch.best[row, m] == pytest.approx(expected)

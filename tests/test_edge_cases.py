@@ -202,13 +202,15 @@ def test_numeric_dimension_values():
     assert top.value_of("pack") == 12
 
 
-def test_filter_can_empty_the_candidate_set():
-    """An extreme ratio removes everything; the pipeline must still answer."""
+@pytest.mark.parametrize("variant", ["tse", "allpair", "Sallpair"])
+def test_filter_can_empty_the_candidate_set(variant):
+    """An extreme ratio removes everything; the pipeline must still answer,
+    under the centroid and the all-pair costs alike."""
     result = ExplainSession(
         regime_relation(),
         "sales",
         ["cat"],
-        config=ExplainConfig(use_filter=True, filter_ratio=0.999, k=2),
+        config=ExplainConfig(use_filter=True, filter_ratio=0.999, k=2, variant=variant),
     ).explain()
     assert result.filtered_epsilon == 0
     assert all(segment.explanations == () for segment in result.segments)

@@ -404,6 +404,14 @@ class TestHttpApi:
             urllib.request.urlopen(f"{app.url}/frobnicate")
         assert error.value.code == 404
 
+    def test_allpair_over_an_emptied_candidate_set_is_200(self, app):
+        for variant in ("tse", "allpair"):
+            payload = _get_json(
+                f"{app.url}/explain?dataset=regime&variant={variant}&filter=1&filter_ratio=0.999"
+            )
+            assert payload["segments"], variant
+            assert all(seg["explanations"] == [] for seg in payload["segments"])
+
     def test_bad_parameter_is_400(self, app):
         for query in (
             "/explain?dataset=regime&k=banana",
