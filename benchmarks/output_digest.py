@@ -24,19 +24,29 @@ runs a slice of it):
   diff, a ``recommend`` ranking, ``m`` 2 and 5, and ``max_order`` 1
   and 2 (the prepare-tier override path);
 * pinned and full streams over covid-daily's last 12 days, one day per
-  update, starting from the 60 days before them.
+  update, starting from the 60 days before them;
+* the cubes themselves (``CUBES``), each with containment dedup on and
+  off: labels, candidates, supports, the overall/included/excluded
+  series and every delta-ledger array, which is what the rollup cache
+  persists.  The explain records read a cube only through segmentation.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from repro.core.config import ExplainConfig
 from repro.core.session import ExplainSession
 from repro.core.streaming import StreamingExplainer
+from repro.cube.datacube import ExplanationCube
 from repro.datasets import load_dataset
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.conftest import regime_relation  # noqa: E402
 
 VARIANTS = ("tse", "allpair", "dist1", "Sdist2")
 #: ``(dataset, variants)`` pairs of the corpus, in hashing order.
@@ -48,6 +58,23 @@ DATASETS = (
 )
 WINDOW_POINTS = 60
 STREAM_DAYS = 12
+#: ``(source, aggregate, max_order)`` cube builds of the corpus, in hashing
+#: order; ``None`` takes the dataset's own aggregate, and ``regime`` is
+#: ``tests.conftest.regime_relation()``.
+CUBES = (
+    ("covid-total", None, 3),
+    ("covid-daily", None, 3),
+    ("sp500", None, 3),
+    ("liquor", None, 3),
+    ("regime", "sum", 3),
+    ("regime", "count", 3),
+    ("regime", "avg", 3),
+    ("regime", "var", 3),
+    ("sp500", "avg", 3),
+    ("sp500", "var", 3),
+    ("sp500", None, 1),
+    ("sp500", None, 2),
+)
 
 
 def render_explanations(explanations) -> str:
@@ -132,6 +159,70 @@ def stream_records(resegment: str):
         yield f"stream {resegment} {labels[day]}", render_result(stream.update(delta))
 
 
+def _python(value):
+    return value.item() if hasattr(value, "item") else value
+
+
+def render_cube(cube) -> str:
+    """SHA-256 over a cube's published arrays and its delta ledger."""
+    sha = hashlib.sha256()
+
+    def array(values) -> None:
+        values = np.ascontiguousarray(values)
+        sha.update(f"{values.dtype.str}{values.shape}".encode())
+        sha.update(values.tobytes())
+
+    sha.update(repr(cube.labels).encode())
+    sha.update(repr([conj.items for conj in cube.explanations]).encode())
+    for values in (
+        cube.supports,
+        cube.overall_values,
+        cube.included_values,
+        cube.excluded_values,
+    ):
+        array(values)
+    state = cube.append_state
+    n = state.n_times
+    sha.update(repr((state.time_attr, state.max_order, state.deduplicate)).encode())
+    array(state.overall[:, :n])
+    for ledger in state.ledgers:
+        values = [[_python(value) for value in column] for column in ledger.values]
+        sha.update(repr((ledger.attrs, values)).encode())
+        array(ledger.state[:, :, :n])
+        array(ledger.counts)
+        for parents in ledger.parents:
+            array(parents)
+    return sha.hexdigest()
+
+
+def cube_records(cases=CUBES):
+    relations = {}
+    for name, aggregate, max_order in cases:
+        if name not in relations:
+            if name == "regime":
+                relations[name] = (regime_relation(), "sales", ("cat",), "sum")
+            else:
+                data = load_dataset(name)
+                relations[name] = (
+                    data.relation,
+                    data.measure,
+                    data.explain_by,
+                    data.aggregate,
+                )
+        relation, measure, explain_by, default = relations[name]
+        for deduplicate in (True, False):
+            cube = ExplanationCube(
+                relation,
+                explain_by,
+                measure,
+                aggregate=aggregate or default,
+                max_order=max_order,
+                deduplicate=deduplicate,
+            )
+            key = f"cube {name} {aggregate or default} order={max_order} dedup={deduplicate}"
+            yield key, render_cube(cube)
+
+
 def digest(sources) -> tuple[int, str]:
     """``(count, sha256)`` over the ``(key, rendered)`` records of ``sources``."""
     sha = hashlib.sha256()
@@ -145,7 +236,7 @@ def digest(sources) -> tuple[int, str]:
 
 def main() -> None:
     sources = [dataset_records(name, variants) for name, variants in DATASETS]
-    sources += [stream_records("pinned"), stream_records("full")]
+    sources += [stream_records("pinned"), stream_records("full"), cube_records()]
     count, sha = digest(sources)
     print(f"results={count} sha256={sha}")
 

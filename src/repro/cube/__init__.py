@@ -1,10 +1,10 @@
-"""Explanation candidates, the per-explanation time-series data cube, and
-the persistent rollup cache that makes built cubes reusable artifacts."""
+"""The per-explanation time-series data cube, the delta ledger it is built
+through (candidate enumeration included), and the persistent rollup cache
+that makes built cubes reusable artifacts."""
 
 from repro.cube.cache import CacheEntry, CubeKey, RollupCache, cube_key
 from repro.cube.datacube import ExplanationCube
 from repro.cube.delta import AppendInfo
-from repro.cube.explanations import CandidateSet, enumerate_candidates
 from repro.cube.filters import (
     DEFAULT_FILTER_RATIO,
     apply_support_filter,
@@ -14,13 +14,11 @@ from repro.cube.filters import (
 __all__ = [
     "AppendInfo",
     "CacheEntry",
-    "CandidateSet",
     "CubeKey",
     "DEFAULT_FILTER_RATIO",
     "ExplanationCube",
     "RollupCache",
     "apply_support_filter",
     "cube_key",
-    "enumerate_candidates",
     "support_filter_mask",
 ]

@@ -81,7 +81,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.cube.datacube import ExplanationCube
-from repro.cube.delta import CubeAppendState, SubsetLedger
+from repro.cube.delta import CubeAppendState, SubsetLedger, _python_value
 from repro.exceptions import QueryError
 from repro.obs.metrics import get_registry as _get_metrics
 from repro.relation.aggregates import AggregateFunction, get_aggregate
@@ -589,10 +589,6 @@ def _key_dict(key: CubeKey) -> dict:
     rendered = asdict(key)
     rendered["explain_by"] = list(rendered["explain_by"])
     return rendered
-
-
-def _python_value(value: object) -> object:
-    return value.item() if hasattr(value, "item") else value
 
 
 def _series_member(

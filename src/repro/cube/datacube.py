@@ -1,16 +1,19 @@
 """The per-explanation time-series data cube (paper section 5.2, module a).
 
-For every candidate explanation ``E`` the cube materializes the aggregated
-time series of the *included* slice ``ts(sigma_E R)`` and of the *excluded*
-relation ``ts(R - sigma_E R)``.  The build is columnar: measure values and
-factorized dimension codes come straight out of the relation's column
-store (:class:`repro.relation.table.Relation`), aggregate states
-are scattered into dense ``group x time`` buckets with ``np.add.at``, and
+For every candidate explanation ``E`` (Definition 3.1, after containment
+dedup; see :mod:`repro.cube.delta`) the cube materializes the aggregated
+time series of the *included* slice ``ts(sigma_E R)`` and of the
+*excluded* relation ``ts(R - sigma_E R)``.  A build is an empty delta
+ledger plus one append: measure values and factorized dimension codes
+come straight out of the relation's column store
+(:class:`repro.relation.table.Relation`), aggregate states are scattered
+into dense ``group x time`` buckets with ``np.add.at``, and
 included/excluded series are finalized in per-subset batches — no per-row
-or per-candidate Python loop touches the data.  With the cube in memory,
-the difference score ``gamma(E)`` of any segment ``[p_j', p_j]`` is an
-O(1) lookup — exactly the pre-computation the paper assumes an interactive
-OLAP tool maintains.
+or per-candidate Python loop touches the data.  Later appends, cache
+revivals and lattice derivations run the same code.  With the cube in
+memory, the difference score ``gamma(E)`` of any segment ``[p_j', p_j]``
+is an O(1) lookup — exactly the pre-computation the paper assumes an
+interactive OLAP tool maintains.
 
 A built cube is a reusable artifact: :mod:`repro.cube.cache` persists it
 to disk keyed by the relation fingerprint and query parameters, so
@@ -24,7 +27,6 @@ from typing import Hashable, Sequence
 import numpy as np
 
 from repro.cube.delta import AppendInfo, CubeAppendState, _grow_time
-from repro.cube.explanations import CandidateSet, enumerate_candidates
 from repro.exceptions import ExplanationError, QueryError
 from repro.relation.aggregates import AggregateFunction, get_aggregate
 from repro.relation.predicates import Conjunction
@@ -53,12 +55,10 @@ class ExplanationCube:
         Order threshold ``beta_max`` for candidates (paper default 3).
     deduplicate:
         Drop containment-redundant conjunctions (see
-        :mod:`repro.cube.explanations`).
-    appendable:
-        Retain the pre-finalize aggregate states (the delta-maintenance
-        ledger, see :mod:`repro.cube.delta`) so :meth:`append` can absorb
-        new rows in O(delta).  Costs roughly one extra copy of the series
-        arrays in memory; ``False`` builds a classic fixed cube.
+        :mod:`repro.cube.delta`).
+
+    The cube keeps the delta ledger it was built through, so
+    :meth:`append` can absorb new rows in O(delta).
     """
 
     def __init__(
@@ -70,56 +70,21 @@ class ExplanationCube:
         time_attr: str | None = None,
         max_order: int = 3,
         deduplicate: bool = True,
-        appendable: bool = True,
     ):
         if isinstance(aggregate, str):
             aggregate = get_aggregate(aggregate)
         relation.schema.require_measure(measure)
-        time_positions, labels = relation.time_positions(time_attr)
-        values = relation.column(measure).astype(np.float64)
-        n_times = len(labels)
-
-        overall_state = aggregate.accumulate(values, time_positions, n_times)
-        candidates = enumerate_candidates(
-            relation, explain_by, max_order=max_order, deduplicate=deduplicate
-        )
-        included, excluded, per_subset_states = _materialize_series(
-            candidates,
-            values,
-            time_positions,
-            n_times,
+        state = CubeAppendState.empty(
+            relation.schema,
+            measure,
+            explain_by,
+            time_attr or relation.schema.require_time(),
+            max_order,
+            deduplicate,
             aggregate,
-            overall_state,
         )
-
-        self._aggregate = aggregate
-        self._measure = measure
-        self._explain_by = tuple(sorted(explain_by))
-        self._labels: tuple[Hashable, ...] = labels
-        self._overall = aggregate.finalize(overall_state)
-        self._explanations = candidates.explanations
-        self._supports = candidates.supports
-        self._included = included
-        self._excluded = excluded
-        self._index = {conj: i for i, conj in enumerate(self._explanations)}
-        self._append_state: CubeAppendState | None = None
-        self._overall_buf = self._overall
-        self._included_buf = included
-        self._excluded_buf = excluded
-        if appendable:
-            self._append_state = CubeAppendState.from_build(
-                relation,
-                candidates,
-                aggregate,
-                measure,
-                self._explain_by,
-                time_attr or relation.schema.require_time(),
-                max_order,
-                deduplicate,
-                labels,
-                overall_state,
-                per_subset_states,
-            )
+        state.apply_delta(relation)
+        self._adopt(state)
 
     # ------------------------------------------------------------------
     # Array-level constructor used by restrict(), smoothing and the
@@ -167,17 +132,20 @@ class ExplanationCube:
         """Assemble a (re-)finalized appendable cube from a delta ledger.
 
         Used by the rollup cache to revive appendable cubes from disk and
-        by the lattice's rollup derivation; the candidate layout, supports and all
-        series arrays are derived from the ledger's states, exactly as a
-        fresh build over the equivalent relation would produce them.
+        by the lattice's rollup derivation; the candidate layout, supports
+        and all series arrays are derived from the ledger's states, as a
+        build over the equivalent relation derives them.
         """
         cube = cls.__new__(cls)
-        cube._aggregate = state.aggregate
-        cube._measure = state.measure
-        cube._explain_by = state.explain_by
-        cube._append_state = state
-        cube._refinalize_full()
+        cube._adopt(state)
         return cube
+
+    def _adopt(self, state: CubeAppendState) -> None:
+        self._aggregate = state.aggregate
+        self._measure = state.measure
+        self._explain_by = state.explain_by
+        self._append_state = state
+        self._refinalize_full()
 
     # ------------------------------------------------------------------
     # Introspection
@@ -393,9 +361,11 @@ class ExplanationCube:
     def appendable(self) -> bool:
         """Whether this cube retains the ledger :meth:`append` needs.
 
-        Only relation-built cubes (and cache entries stored with their
-        state) are appendable; derived cubes — :meth:`slice_time`,
-        :meth:`restrict`, smoothed copies — are fixed snapshots.
+        Relation-built cubes, lattice derivations and cache entries
+        loaded without mmap are appendable; derived cubes —
+        :meth:`slice_time`, :meth:`restrict`, smoothed copies,
+        :meth:`from_arrays` and mmap'd cache entries — are fixed
+        snapshots.
         """
         return self._append_state is not None
 
@@ -428,7 +398,7 @@ class ExplanationCube:
             raise ExplanationError(
                 "this cube is not appendable: it is a derived slice/smoothed/"
                 "filtered copy or was cache-loaded without its delta ledger; "
-                "rebuild from the relation with appendable=True"
+                "build it from the relation or load its cache entry without mmap"
             )
         info = self._append_state.apply_delta(delta)
         if info.is_noop:
@@ -524,50 +494,3 @@ class ExplanationCube:
             f"explain_by={list(self._explain_by)})"
         )
 
-
-def _materialize_series(
-    candidates: CandidateSet,
-    values: np.ndarray,
-    time_positions: np.ndarray,
-    n_times: int,
-    aggregate: AggregateFunction,
-    overall_state: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
-    """Finalized included/excluded series plus the per-subset states.
-
-    States are accumulated once per attribute *subset* (bucket id =
-    ``group_id * n_times + time_position``), so the relation is scanned
-    ``O(|subsets|)`` times, not ``O(epsilon)``.  Every subset's candidates
-    are then gathered with one fancy-index per subset and finalized as a
-    ``(n_components, k, n_times)`` batch.  The raw states are returned as
-    well so an appendable cube can retain them as its delta-maintenance
-    ledger.
-    """
-    per_subset_states: list[np.ndarray] = []
-    for group_ids in candidates.row_groups:
-        n_groups = int(group_ids.max()) + 1 if group_ids.size else 0
-        buckets = group_ids * n_times + time_positions
-        state = aggregate.accumulate(values, buckets, n_groups * n_times)
-        per_subset_states.append(
-            state.reshape(aggregate.n_components, n_groups, n_times)
-        )
-
-    n_candidates = len(candidates)
-    included = np.empty((n_candidates, n_times), dtype=np.float64)
-    excluded = np.empty((n_candidates, n_times), dtype=np.float64)
-    subset_index = np.asarray(candidates.subset_index, dtype=np.intp)
-    local_ids = np.asarray(candidates.local_ids, dtype=np.intp)
-    rest_state = overall_state[:, None, :]  # broadcasts over the batch
-    # Candidates are emitted grouped by subset in ascending order, so
-    # each subset's rows are one contiguous slice.
-    bounds = np.searchsorted(
-        subset_index, np.arange(len(per_subset_states) + 1, dtype=np.intp)
-    )
-    for subset_pos, states in enumerate(per_subset_states):
-        rows = slice(int(bounds[subset_pos]), int(bounds[subset_pos + 1]))
-        if rows.start == rows.stop:
-            continue
-        batch = states[:, local_ids[rows], :]
-        included[rows] = aggregate.finalize(batch)
-        excluded[rows] = aggregate.finalize(aggregate.subtract(rest_state, batch))
-    return included, excluded, per_subset_states

@@ -1,25 +1,47 @@
-"""Delta maintenance state for :class:`~repro.cube.datacube.ExplanationCube`.
+"""Module (a)'s one build: candidate explanations and the delta ledger
+behind :class:`~repro.cube.datacube.ExplanationCube`.
 
+Candidates (Definition 3.1)
+---------------------------
+Given explain-by attributes ``A`` and an order threshold ``beta_max``, the
+candidates are all conjunctions ``A_1=a_1 & ... & A_beta=a_beta`` with
+``beta <= beta_max`` that select at least one row of the relation.  They
+are emitted by order, then by attribute tuple, then by values.
+
+Containment deduplication
+-------------------------
+Hierarchical attributes (e.g. S&P 500's ``category -> subcategory -> stock``)
+make many conjunctions redundant: ``category=tech & subcategory=software``
+selects exactly the rows of ``subcategory=software``.  Keeping both would
+bias the cascading-analysts search and inflate ``epsilon``.  We drop any
+candidate whose support equals the support of one of its order-(beta-1)
+sub-conjunctions; this reproduces the paper's candidate counts (e.g.
+``epsilon = 610 = 11 + 96 + 503`` for S&P 500, Table 6).  Redundant groups
+stay in the ledger, so redundancy chains through dropped intermediates.
+
+The ledger
+----------
 The paper's real-time section (section 8) needs the cube to absorb newly
 arrived rows in O(delta) instead of rebuilding from the full relation.
 The finalized ``included``/``excluded`` matrices alone cannot do that for
-AVG/VAR — finalization is lossy — so an *appendable* cube also retains the
-pre-finalize aggregate **states** it was built from:
+AVG/VAR — finalization is lossy — so the cube retains the pre-finalize
+aggregate **states** it was built from:
 
 * one ``(n_components, n_groups, n_times)`` state array per explain-by
-  attribute subset (the same arrays the columnar build scattered into),
+  attribute subset,
 * per-group row counts, group values, redundancy flags and parent-group
   maps (the candidate ledger), and
 * the overall query's state.
 
-:meth:`CubeAppendState.apply_delta` scatters a delta relation's rows into
-those arrays **in row order with unbuffered** ``np.add.at`` **updates** —
-the exact sequence a one-shot build over ``base.concat(delta)`` would have
-produced — so build-then-append is *bit-identical* to one-shot building.
-Appends can create candidates (a new value combination, or a formerly
-containment-redundant group whose parent outgrew it) but never destroy
-them: supports grow monotonically and a child can never outgrow its
-parent, so group slots are append-only.
+A build *is* an append: :meth:`CubeAppendState.empty` holds one empty
+:class:`SubsetLedger` per attribute subset (lower orders first), and the
+relation is its first delta.  :meth:`CubeAppendState.apply_delta` scatters
+a delta relation's rows into those arrays **in row order with unbuffered**
+``np.add.at`` **updates**, so build-then-append is *bit-identical* to
+building over ``base.concat(delta)``.  Appends can create candidates (a
+new value combination, or a formerly containment-redundant group whose
+parent outgrew it) but never destroy them: supports grow monotonically
+and a child can never outgrow its parent, so group slots are append-only.
 
 Time-axis contract
 ------------------
@@ -36,19 +58,23 @@ pays an amortized O(delta) per update rather than an O(n) reallocation.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Hashable, Sequence, TYPE_CHECKING
 
 import numpy as np
 
-from repro.cube.explanations import CandidateSet, _group_rows, _python_value
-from repro.exceptions import BackfillError, SchemaError
+from repro.exceptions import BackfillError, ExplanationError, SchemaError
 from repro.relation.aggregates import AggregateFunction
 from repro.relation.predicates import Conjunction
 from repro.relation.schema import Schema
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.relation.table import Relation
+
+
+def _python_value(value: object) -> object:
+    return value.item() if hasattr(value, "item") else value
 
 
 @dataclass(frozen=True)
@@ -141,10 +167,24 @@ class SubsetLedger:
         ]
         self.redundant = np.asarray(redundant, dtype=bool)
         self.conjunctions: list[Conjunction | None] = [None] * self.n_slots
-        #: Slot ids in candidate-emission order (sorted by group values);
-        #: the build emits slots pre-sorted, appends re-sort on new slots.
+        #: Slot ids in candidate-emission order (sorted by group values),
+        #: re-derived whenever slots are added.
         self.sorted_order = np.arange(self.n_slots, dtype=np.intp)
         self._slot_of: dict[tuple, int] | None = None
+
+    @classmethod
+    def empty(cls, attrs: tuple[str, ...], n_components: int) -> "SubsetLedger":
+        """A ledger with no groups yet; from order 2 on it keeps a parent
+        map per dropped attribute."""
+        order = len(attrs)
+        return cls(
+            attrs=attrs,
+            state=np.zeros((n_components, 0, 0), dtype=np.float64),
+            counts=np.zeros(0, dtype=np.int64),
+            values=[[] for _ in attrs],
+            parents=[np.zeros(0, dtype=np.intp) for _ in range(order if order > 1 else 0)],
+            redundant=np.zeros(0, dtype=bool),
+        )
 
     @property
     def n_slots(self) -> int:
@@ -174,27 +214,26 @@ class SubsetLedger:
         """Non-redundant slots in candidate-emission order."""
         return self.sorted_order[~self.redundant[self.sorted_order]]
 
-    def add_slots(self, combos: Sequence[tuple], parent_slots: Sequence[Sequence[int]]) -> int:
+    def add_slots(self, combos: Sequence[tuple], parents: Sequence[np.ndarray]) -> int:
         """Register new groups; returns the first new slot id.
 
-        ``parent_slots[i]`` holds, per dropped attribute, the parent
-        subset's slot of ``combos[i]``.  State/counts are zero-extended;
-        the caller scatters the delta rows afterwards.
+        ``parents[drop][i]`` is the slot of ``combos[i]``'s parent group in
+        the subset without attribute ``drop``.  State/counts are
+        zero-extended; the caller scatters the delta rows afterwards.
         """
         first = self.n_slots
         added = len(combos)
-        index = self.slot_index()
-        for offset, combo in enumerate(combos):
-            index[combo] = first + offset
-            for column, value in zip(self.values, combo):
-                column.append(value)
+        if self._slot_of is not None:
+            for offset, combo in enumerate(combos):
+                self._slot_of[combo] = first + offset
+        for column, values in zip(self.values, zip(*combos)):
+            column.extend(values)
         self.counts = np.concatenate(
             [self.counts, np.zeros(added, dtype=np.int64)]
         )
         self.redundant = np.concatenate([self.redundant, np.zeros(added, dtype=bool)])
         self.conjunctions.extend([None] * added)
-        for drop in range(len(self.parents)):
-            extra = np.asarray([ps[drop] for ps in parent_slots], dtype=np.intp)
+        for drop, extra in enumerate(parents):
             self.parents[drop] = np.concatenate([self.parents[drop], extra])
         grown = np.zeros(
             (self.state.shape[0], first + added, self.state.shape[2]),
@@ -204,7 +243,7 @@ class SubsetLedger:
         self.state = grown
         # Re-derive the emission order: new combos can sort anywhere among
         # the existing groups, and candidate order must match what a
-        # one-shot enumeration over the grown relation would produce.
+        # build over the grown relation would produce.
         combos_all = [self.combo(slot) for slot in range(self.n_slots)]
         self.sorted_order = np.asarray(
             sorted(range(self.n_slots), key=combos_all.__getitem__), dtype=np.intp
@@ -259,55 +298,43 @@ class CubeAppendState:
 
     # ------------------------------------------------------------------
     @classmethod
-    def from_build(
+    def empty(
         cls,
-        relation: "Relation",
-        candidates: CandidateSet,
-        aggregate: AggregateFunction,
+        schema: Schema,
         measure: str,
-        explain_by: tuple[str, ...],
+        explain_by: Sequence[str],
         time_attr: str,
         max_order: int,
         deduplicate: bool,
-        labels: tuple[Hashable, ...],
-        overall_state: np.ndarray,
-        per_subset_states: Sequence[np.ndarray],
+        aggregate: AggregateFunction,
     ) -> "CubeAppendState":
-        """Capture the ledger right after a relation-scan build.
-
-        The state arrays are adopted (not copied) — they are exactly what
-        the columnar build scattered into and are not referenced elsewhere
-        after finalization.
-        """
+        """A ledger with no rows: one empty :class:`SubsetLedger` per
+        attribute subset of up to ``min(max_order, |A|)`` attributes,
+        lower orders first.  ``max_order`` is kept as requested."""
+        if not explain_by:
+            raise ExplanationError("explain_by must name at least one attribute")
+        if len(set(explain_by)) != len(explain_by):
+            raise ExplanationError(f"explain_by repeats attributes: {explain_by}")
+        for name in explain_by:
+            schema.require_dimension(name)
+        if max_order < 1:
+            raise ExplanationError(f"max_order must be >= 1, got {max_order}")
+        attrs = tuple(sorted(explain_by))
         ledgers = [
-            SubsetLedger(
-                attrs=attrs,
-                state=state,
-                counts=candidates.group_counts[i],
-                values=candidates.group_values[i],
-                parents=candidates.parent_groups[i],
-                redundant=candidates.redundant[i],
-            )
-            for i, (attrs, state) in enumerate(
-                zip(candidates.subsets, per_subset_states)
-            )
+            SubsetLedger.empty(subset, aggregate.n_components)
+            for order in range(1, min(max_order, len(attrs)) + 1)
+            for subset in itertools.combinations(attrs, order)
         ]
-        # Seed the ledger with the conjunction objects the build already
-        # made, so unchanged candidates stay the same objects.
-        for position, conj in enumerate(candidates.explanations):
-            subset_pos = candidates.subset_index[position]
-            local_id = candidates.local_ids[position]
-            ledgers[subset_pos].conjunctions[local_id] = conj
         return cls(
-            schema=relation.schema,
+            schema=schema,
             measure=measure,
-            explain_by=explain_by,
+            explain_by=attrs,
             time_attr=time_attr,
             max_order=max_order,
             deduplicate=deduplicate,
             aggregate=aggregate,
-            labels=labels,
-            overall=overall_state,
+            labels=(),
+            overall=np.zeros((aggregate.n_components, 0), dtype=np.float64),
             ledgers=ledgers,
         )
 
@@ -346,10 +373,11 @@ class CubeAppendState:
                     "timestamps or extend the axis, never back-fill new ones"
                 )
             # np.unique hands labels out ascending, so new ones arrive in
-            # axis order.
+            # axis order and need only follow the pre-existing last label
+            # (a NaN label, which np.unique sorts last, is greater than
+            # nothing).
             unique_positions[index] = next_position
             new_labels.append(label)
-            last = label
             next_position += 1
         for label in new_labels:
             self.label_pos[label] = len(self.labels)
@@ -403,42 +431,54 @@ class CubeAppendState:
         self.overall = _grow_time(self.overall, n_times)
         self.aggregate.scatter_into(self.overall, values, positions)
 
+        # Factorize each explain-by column once.  A subset's groups refine
+        # those of its prefix (the subset without its last attribute),
+        # which precedes it in the ledger order, so every subset densifies
+        # one combined key: dense ids in lexicographic value order, each
+        # group represented by its first row.
+        encoded = {name: delta.encode(name) for name in self.explain_by}
+        # Per processed subset: each row's group and each group's slot.
+        grouped: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
         for ledger in self.ledgers:
-            group_ids, representatives = _group_rows(delta, ledger.attrs)
-            columns = delta.columns(ledger.attrs)
-            slot_of = ledger.slot_index()
-            slot_map = np.empty(representatives.shape[0], dtype=np.intp)
-            fresh_combos: list[tuple] = []
-            fresh_parents: list[list[int]] = []
-            fresh_at: list[int] = []
-            for group in range(representatives.shape[0]):
-                row = representatives[group]
-                combo = tuple(
-                    _python_value(columns[name][row]) for name in ledger.attrs
+            attrs = ledger.attrs
+            codes, uniques = encoded[attrs[-1]]
+            if ledger.order == 1:
+                groups = codes  # already dense, in value order
+                representatives = np.unique(codes, return_index=True)[1]
+            else:
+                key = grouped[attrs[:-1]][0] * len(uniques) + codes
+                _, representatives, groups = np.unique(
+                    key, return_index=True, return_inverse=True
                 )
-                slot = slot_of.get(combo)
-                if slot is None:
-                    parent_slots = []
-                    for drop in range(ledger.order if ledger.order > 1 else 0):
-                        attrs = ledger.attrs[:drop] + ledger.attrs[drop + 1 :]
-                        parent = self.ledgers[self.ledger_index[attrs]]
-                        parent_combo = combo[:drop] + combo[drop + 1 :]
-                        # Parents are processed first, so any row matching
-                        # this combo already registered the parent combo.
-                        parent_slots.append(parent.slot_index()[parent_combo])
-                    fresh_at.append(group)
-                    fresh_combos.append(combo)
-                    fresh_parents.append(parent_slots)
-                else:
-                    slot_map[group] = slot
-            if fresh_combos:
-                first = ledger.add_slots(fresh_combos, fresh_parents)
-                for offset, group in enumerate(fresh_at):
-                    slot_map[group] = first + offset
+            # Each group's value per attribute, read off its first row.
+            columns = []
+            for name in attrs:
+                name_codes, name_uniques = encoded[name]
+                firsts = name_uniques[name_codes[representatives]]
+                columns.append([_python_value(value) for value in firsts])
+            combos = list(zip(*columns))
+            slot_map = np.full(len(combos), -1, dtype=np.intp)
+            if ledger.n_slots:
+                slot_of = ledger.slot_index()
+                slot_map[:] = [slot_of.get(combo, -1) for combo in combos]
+            fresh = np.flatnonzero(slot_map < 0)
+            if fresh.size:
+                # Parents are processed first, so each new group's parent
+                # groups already hold a slot: the one of the group's
+                # first row.
+                first_rows = representatives[fresh]
+                parents = []
+                for drop in range(len(ledger.parents)):
+                    parent = attrs[:drop] + attrs[drop + 1 :]
+                    parent_groups, parent_slots = grouped[parent]
+                    parents.append(parent_slots[parent_groups[first_rows]])
+                first = ledger.add_slots([combos[g] for g in fresh], parents)
+                slot_map[fresh] = np.arange(first, first + fresh.size)
+            grouped[attrs] = (groups, slot_map)
+            slots = slot_map[groups]
             ledger.state = _grow_time(ledger.state, n_times)
-            row_slots = slot_map[group_ids]
-            np.add.at(ledger.counts, row_slots, 1)
-            self.aggregate.scatter_into(ledger.state, values, (row_slots, positions))
+            ledger.counts += np.bincount(slots, minlength=ledger.n_slots)
+            self.aggregate.scatter_into(ledger.state, values, (slots, positions))
 
         self._recompute_redundancy()
         candidates_changed = any(

@@ -121,8 +121,8 @@ def derive_rollup(cube: ExplanationCube, target: RollupSpec) -> ExplanationCube:
     state = cube.append_state
     if state is None:
         raise ExplanationError(
-            "rollup derivation needs the cube's delta ledger; build with "
-            "appendable=True or load a ledger-bearing cache entry without mmap"
+            "rollup derivation needs the cube's delta ledger; build the cube "
+            "from the relation or load its cache entry without mmap"
         )
     source = spec_of_cube(cube)
     if not can_derive(source, target):

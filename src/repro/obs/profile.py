@@ -53,6 +53,15 @@ DEFAULT_HZ = 97.0
 #: for; beyond ~1 kHz the sampler's own GIL time stops being negligible.
 MAX_HZ = 997.0
 
+
+def check_hz(hz: float) -> float:
+    """``hz`` as a float; :class:`QueryError` unless ``0 < hz <= MAX_HZ``."""
+    hz = float(hz)
+    if not (0.0 < hz <= MAX_HZ):
+        raise QueryError(f"profiler hz must be in (0, {MAX_HZ:g}], got {hz:g}")
+    return hz
+
+
 #: Frames kept per sampled stack, innermost-first during the walk; a
 #: deeper stack keeps its leaf frames and truncates the root end.
 MAX_STACK_DEPTH = 64
@@ -256,9 +265,7 @@ class SamplingProfiler:
         exclude_threads: tuple[int, ...] = (),
         phase_counter=None,
     ):
-        hz = float(hz)
-        if not (0.0 < hz <= MAX_HZ):
-            raise QueryError(f"profiler hz must be in (0, {MAX_HZ:g}], got {hz:g}")
+        hz = check_hz(hz)
         self.hz = hz
         self._interval = 1.0 / hz
         self._max_stack = int(max_stack)

@@ -111,10 +111,9 @@ class Relation:
         """Bulk columnar access: ``{name: array}`` for the requested columns.
 
         One call hands out several attribute arrays without materializing
-        rows — candidate enumeration uses it to fetch each explain-by
-        subset at once.  ``names`` defaults to every schema attribute in
-        schema order; the returned arrays are the relation's own storage
-        (do not mutate).
+        rows.  ``names`` defaults to every schema attribute in schema
+        order; the returned arrays are the relation's own storage (do not
+        mutate).
         """
         if names is None:
             names = self._schema.names
@@ -250,7 +249,8 @@ class Relation:
         """Factorize a column into ``(codes, unique_values)``.
 
         ``codes[i]`` indexes into ``unique_values`` (sorted ascending), so
-        downstream group accumulation can use dense integer buckets.
+        downstream group accumulation can use dense integer buckets; the
+        cube's delta ledger factorizes each explain-by column once this way.
         """
         values, codes = np.unique(self.column(name), return_inverse=True)
         return codes.astype(np.intp), values

@@ -69,6 +69,7 @@ from repro.obs.profile import (
     SamplingProfiler,
     SlowProfileWriter,
     capture as capture_profile,
+    check_hz,
 )
 from repro.obs.trace import JsonLinesExporter, Trace, start_trace
 from repro.serve.jsonio import (
@@ -422,6 +423,10 @@ class ServeApp:
         profile_slow: bool = False,
         profile_slow_seconds: float = 2.0,
     ):
+        # A bad profiler rate is refused before the port is bound, not
+        # after the address has been announced.
+        if profile_hz is not None:
+            check_hz(profile_hz)
         self.registry = registry
         self.scheduler = scheduler or QueryScheduler(registry)
         self.verbose = verbose
@@ -505,6 +510,9 @@ class ServeApp:
         self._server.daemon_threads = True
         self._server.app = self  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+        # Set just before the accept loop runs: stopping a loop that never
+        # ran would wait for it forever.
+        self._accepting = False
 
     # ------------------------------------------------------------------
     @property
@@ -531,6 +539,7 @@ class ServeApp:
         """Serve on the calling thread until :meth:`shutdown` (CLI mode)."""
         self._start_flusher()
         self._start_profiler()
+        self._accepting = True
         self._server.serve_forever()
 
     def start(self) -> "ServeApp":
@@ -540,6 +549,7 @@ class ServeApp:
         self._thread = threading.Thread(
             target=self._server.serve_forever, name="repro-serve", daemon=True
         )
+        self._accepting = True
         self._thread.start()
         return self
 
@@ -549,11 +559,11 @@ class ServeApp:
         The drain is the torn-response fix: handler threads are daemons,
         so stopping the scheduler (or exiting the process) while a
         response is mid-write would cut the client off.  ``shutdown``
-        first stops the accept loop, then waits up to ``grace`` seconds
-        for every admitted request to finish writing, and only then
-        closes the socket and the scheduler.  Idempotent and safe to
-        call concurrently — late callers wait for the first shutdown to
-        complete instead of racing it.
+        first stops the accept loop (if it ever started), then waits up
+        to ``grace`` seconds for every admitted request to finish
+        writing, and only then closes the socket and the scheduler.
+        Idempotent and safe to call concurrently — late callers wait for
+        the first shutdown to complete instead of racing it.
         """
         with self._shutdown_lock:
             first = not self._shutting_down
@@ -562,7 +572,8 @@ class ServeApp:
             self._shutdown_done.wait(timeout=grace + SHUTDOWN_GRACE_SECONDS)
             return
         try:
-            self._server.shutdown()  # stop the accept loop (blocks until out)
+            if self._accepting:
+                self._server.shutdown()  # stop the accept loop (blocks until out)
             self.drain(grace)
             self._server.server_close()
             self.scheduler.shutdown(wait=False)

@@ -136,7 +136,6 @@ def scan_cubes_from_source(
             time_attr=time_attr,
             max_order=query.get("max_order", 3),
             deduplicate=query.get("deduplicate", True),
-            appendable=True,
         )
 
     chunked = False

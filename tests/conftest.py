@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from repro.cube.datacube import ExplanationCube
 from repro.relation.predicates import Conjunction
 from repro.relation.schema import Schema
 from repro.relation.table import Relation
@@ -108,6 +110,104 @@ def two_attr_relation(n: int = 16) -> Relation:
                 rows["b"].append(b)
                 rows["m"].append(v)
     return build_relation(rows, dimensions=["a", "b"], measures=["m"], time="t")
+
+
+def fixed_cube(cube: ExplanationCube) -> ExplanationCube:
+    """A ledger-less copy of ``cube``: fixed, as slices, smoothed copies
+    and memory-mapped cache entries are."""
+    return ExplanationCube.from_arrays(
+        aggregate=cube.aggregate,
+        measure=cube.measure,
+        explain_by=cube.explain_by,
+        labels=cube.labels,
+        overall=cube.overall_values,
+        explanations=cube.explanations,
+        supports=cube.supports,
+        included=cube.included_values,
+        excluded=cube.excluded_values,
+    )
+
+
+class ReferenceCandidates(NamedTuple):
+    """What :func:`reference_candidates` enumerates: the candidates, their
+    supports, and per attribute subset the dense group id of every row;
+    candidate ``i`` is group ``local_ids[i]`` of subset ``subset_index[i]``."""
+
+    explanations: tuple[Conjunction, ...]
+    supports: np.ndarray
+    row_groups: tuple[np.ndarray, ...]
+    subset_index: tuple[int, ...]
+    local_ids: tuple[int, ...]
+
+
+def reference_candidates(
+    relation: Relation, explain_by, max_order: int = 3, deduplicate: bool = True
+) -> ReferenceCandidates:
+    """One-shot candidate enumeration (Definition 3.1 with containment
+    dedup), written independently of the cube's delta ledger.
+
+    Subsets are enumerated over the sorted attributes by ascending order;
+    each subset's rows are grouped by value combination, and a group is
+    redundant when a sub-conjunction one attribute smaller selects the
+    same number of rows.  Redundant groups still count as parents, so
+    redundancy chains through dropped intermediates.
+    """
+    explanations: list[Conjunction] = []
+    supports: list[int] = []
+    row_groups: list[np.ndarray] = []
+    subset_index: list[int] = []
+    local_ids: list[int] = []
+    group_info: dict[tuple[str, ...], tuple[np.ndarray, np.ndarray]] = {}
+    attrs = sorted(explain_by)
+    for order in range(1, min(max_order, len(attrs)) + 1):
+        for subset in itertools.combinations(attrs, order):
+            group_ids, representatives = _group_rows(relation, subset)
+            counts = np.bincount(group_ids, minlength=representatives.shape[0])
+            redundant = np.zeros(representatives.shape[0], dtype=bool)
+            if order > 1 and deduplicate:
+                for drop in range(order):
+                    parent_rows, parent_counts = group_info[subset[:drop] + subset[drop + 1 :]]
+                    redundant |= parent_counts[parent_rows[representatives]] == counts
+            group_info[subset] = (group_ids, counts)
+            columns = relation.columns(subset)
+            for local_id in np.flatnonzero(~redundant):
+                row = representatives[local_id]
+                explanations.append(
+                    Conjunction.from_items(
+                        (name, _python_value(columns[name][row])) for name in subset
+                    )
+                )
+                supports.append(int(counts[local_id]))
+                subset_index.append(len(row_groups))
+                local_ids.append(int(local_id))
+            row_groups.append(group_ids)
+    return ReferenceCandidates(
+        explanations=tuple(explanations),
+        supports=np.asarray(supports, dtype=np.int64),
+        row_groups=tuple(row_groups),
+        subset_index=tuple(subset_index),
+        local_ids=tuple(local_ids),
+    )
+
+
+def _python_value(value):
+    return value.item() if hasattr(value, "item") else value
+
+
+def _group_rows(relation: Relation, subset) -> tuple[np.ndarray, np.ndarray]:
+    """``(group_ids, representatives)`` over the distinct value combinations
+    of ``subset``: row ``i`` is in group ``group_ids[i]``, groups are
+    numbered in lexicographic value order, and ``representatives[g]`` is
+    group ``g``'s first row.  One column is factorized at a time and the
+    combined key re-densified, so keys never overflow."""
+    combined = np.zeros(relation.n_rows, dtype=np.int64)
+    for name in subset:
+        values, codes = np.unique(relation.column(name), return_inverse=True)
+        key = combined * np.int64(len(values)) + codes.astype(np.int64).ravel()
+        _, combined = np.unique(key, return_inverse=True)
+        combined = combined.astype(np.int64).ravel()
+    _, representatives = np.unique(combined, return_index=True)
+    return combined.astype(np.intp), representatives.astype(np.intp)
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ from repro.exceptions import (
 from repro.relation.schema import Schema
 from repro.relation.table import Relation
 from repro.segmentation.variance import SegmentationCosts
-from tests.conftest import build_relation
+from tests.conftest import build_relation, fixed_cube
 
 
 def day_rows(days, value=lambda t, cat: 10.0 + t, cats=("a", "b")):
@@ -147,7 +147,7 @@ class TestCubeAppend:
         assert not sliced.appendable
         with pytest.raises(ExplanationError, match="not appendable"):
             sliced.append(day_rows([8]))
-        fixed = ExplanationCube(day_rows(range(8)), ["cat"], "m", appendable=False)
+        fixed = fixed_cube(ExplanationCube(day_rows(range(8)), ["cat"], "m"))
         assert not fixed.appendable
 
 
@@ -327,7 +327,7 @@ class TestDeltaCache:
 
     def test_fixed_cubes_round_trip_without_a_ledger(self, tmp_path):
         relation = day_rows(range(6))
-        cube = ExplanationCube(relation, ["cat"], "m", appendable=False)
+        cube = fixed_cube(ExplanationCube(relation, ["cat"], "m"))
         cache = RollupCache(tmp_path)
         key = cube_key(relation, "m", ["cat"])
         cache.store(key, cube)

@@ -11,7 +11,7 @@ from repro.cube.datacube import ExplanationCube
 from repro.exceptions import ConfigError
 from repro.relation.schema import AttributeKind
 from repro.store import RelationSource, load_or_build_from_source
-from tests.conftest import regime_relation, two_attr_relation
+from tests.conftest import fixed_cube, regime_relation, two_attr_relation
 
 
 @pytest.fixture
@@ -193,7 +193,7 @@ def test_mmap_load_falls_back_to_private_copies(cache, monkeypatch):
 
 def test_load_without_mmap_returns_private_arrays(cache):
     relation = two_attr_relation()
-    built = ExplanationCube(relation, ["a", "b"], "m", appendable=False)
+    built = fixed_cube(ExplanationCube(relation, ["a", "b"], "m"))
     key = cube_key(relation, "m", ["a", "b"])
     cache.store(key, built)
     reopened = cache.load(key)
@@ -204,7 +204,7 @@ def test_load_without_mmap_returns_private_arrays(cache):
 def test_fixed_cube_entry_has_no_appendable_state(cache):
     relation = two_attr_relation()
     key = cube_key(relation, "m", ["a", "b"])
-    cache.store(key, ExplanationCube(relation, ["a", "b"], "m", appendable=False))
+    cache.store(key, fixed_cube(ExplanationCube(relation, ["a", "b"], "m")))
     for mmap in (False, True):
         reopened = cache.load(key, mmap=mmap)
         assert reopened is not None and not reopened.appendable
@@ -231,7 +231,7 @@ def test_appendable_revival_matches_rebuild(cache):
     head = base.head(16 * 3)
     tail = base.take(np.arange(base.n_rows) >= 16 * 3)
     key = cube_key(head, "sales", ["cat"])
-    cache.store(key, ExplanationCube(head, ["cat"], "sales", appendable=True))
+    cache.store(key, ExplanationCube(head, ["cat"], "sales"))
 
     revived = cache.load(key)
     assert revived is not None and revived.appendable
@@ -307,7 +307,7 @@ def test_format2_entries_read_as_misses_and_are_overwritten(cache, capsys):
     relation = regime_relation()
     key = cube_key(relation, "sales", ["cat"])
     path = _write_format2_entry(
-        cache, key, ExplanationCube(relation, ["cat"], "sales", appendable=False)
+        cache, key, fixed_cube(ExplanationCube(relation, ["cat"], "sales"))
     )
     assert main(["cache", "inspect", "--cache-dir", str(cache.directory)]) == 0
     assert "CORRUPT" in capsys.readouterr().out

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cube.datacube import ExplanationCube
-from repro.cube.explanations import enumerate_candidates
 from repro.exceptions import ExplanationError
 from repro.relation.aggregates import get_aggregate
 from repro.relation.predicates import Conjunction, Eq
 from repro.relation.groupby import aggregate_over_time
-from tests.conftest import regime_relation
+from tests.conftest import reference_candidates, regime_relation
 
 
 @pytest.fixture
@@ -102,20 +101,23 @@ def test_series_accessor(cube):
     assert series.labels == cube.labels
 
 
-def _reference_finalize(relation, explain_by, measure, aggregate):
-    """The per-candidate finalize loop: the executable specification of
-    the cube's batched finalize.
+def _reference_finalize(
+    relation, explain_by, measure, aggregate, max_order=3, deduplicate=True
+):
+    """The per-candidate finalize loop over the reference enumeration:
+    the executable specification of the cube's build.
 
-    Aggregate states are accumulated once per attribute subset, exactly as
-    the cube does; each candidate's included and excluded series are then
-    finalized one at a time.  Returns ``(candidates, included, excluded)``.
+    Aggregate states are accumulated once per attribute subset over flat
+    ``group * n_times + time`` buckets; each candidate's included and
+    excluded series are then finalized one at a time.  Returns
+    ``(candidates, overall, included, excluded)``.
     """
     aggregate = get_aggregate(aggregate)
     time_positions, labels = relation.time_positions(None)
     n_times = len(labels)
     values = relation.column(measure).astype(np.float64)
     overall_state = aggregate.accumulate(values, time_positions, n_times)
-    candidates = enumerate_candidates(relation, explain_by)
+    candidates = reference_candidates(relation, explain_by, max_order, deduplicate)
     per_subset_states = []
     for group_ids in candidates.row_groups:
         n_groups = int(group_ids.max()) + 1 if group_ids.size else 0
@@ -125,9 +127,10 @@ def _reference_finalize(relation, explain_by, measure, aggregate):
         per_subset_states.append(
             state.reshape(aggregate.n_components, n_groups, n_times)
         )
-    included = np.empty((len(candidates), n_times), dtype=np.float64)
-    excluded = np.empty((len(candidates), n_times), dtype=np.float64)
-    for position in range(len(candidates)):
+    n_candidates = len(candidates.explanations)
+    included = np.empty((n_candidates, n_times), dtype=np.float64)
+    excluded = np.empty((n_candidates, n_times), dtype=np.float64)
+    for position in range(n_candidates):
         subset_pos = candidates.subset_index[position]
         local_id = candidates.local_ids[position]
         state = per_subset_states[subset_pos][:, local_id, :]
@@ -135,7 +138,7 @@ def _reference_finalize(relation, explain_by, measure, aggregate):
         excluded[position] = aggregate.finalize(
             aggregate.subtract(overall_state, state)
         )
-    return candidates, included, excluded
+    return candidates, aggregate.finalize(overall_state), included, excluded
 
 
 @pytest.mark.parametrize("aggregate", ["sum", "count", "avg", "var"])
@@ -145,7 +148,7 @@ def test_columnar_matches_legacy_build(aggregate):
 
     relation = two_attr_relation()
     fast = ExplanationCube(relation, ["a", "b"], "m", aggregate=aggregate)
-    candidates, included, excluded = _reference_finalize(
+    candidates, _, included, excluded = _reference_finalize(
         relation, ["a", "b"], "m", aggregate
     )
     assert fast.explanations == candidates.explanations

@@ -47,7 +47,7 @@ from repro.lattice import (
 )
 from repro.relation.csvio import write_csv
 from repro.serve.registry import DatasetSpec, SessionRegistry
-from tests.conftest import two_attr_relation
+from tests.conftest import fixed_cube, two_attr_relation
 
 
 def spec(dims=("a", "b"), measure="m", aggregate="sum", max_order=3, **kw):
@@ -166,19 +166,19 @@ class TestDerive:
 
     def test_derive_requires_ledger(self):
         relation = two_attr_relation()
-        cube = ExplanationCube(relation, ("a", "b"), "m", appendable=False)
+        cube = fixed_cube(ExplanationCube(relation, ("a", "b"), "m"))
         with pytest.raises(ExplanationError, match="ledger|append"):
             derive_rollup(cube, spec(dims=("a",)))
 
     def test_derive_rejects_uncoverable_target(self):
         relation = two_attr_relation()
-        cube = ExplanationCube(relation, ("a", "b"), "m", appendable=True)
+        cube = ExplanationCube(relation, ("a", "b"), "m")
         with pytest.raises(QueryError):
             derive_rollup(cube, spec(aggregate="count"))
 
     def test_derived_cube_matches_scratch_build(self):
         relation = two_attr_relation()
-        fine = ExplanationCube(relation, ("a", "b"), "m", aggregate="var", appendable=True)
+        fine = ExplanationCube(relation, ("a", "b"), "m", aggregate="var")
         assert spec_of_cube(fine) == spec(aggregate="var")
         for target in (spec(dims=("a",), aggregate="avg"), spec(aggregate="sum")):
             derived = derive_rollup(fine, target)
@@ -190,7 +190,7 @@ class TestDerive:
     def test_derived_cube_keeps_its_own_ledger(self):
         """A derived rollup can itself serve further derivations."""
         relation = two_attr_relation()
-        fine = ExplanationCube(relation, ("a", "b"), "m", aggregate="var", appendable=True)
+        fine = ExplanationCube(relation, ("a", "b"), "m", aggregate="var")
         mid = derive_rollup(fine, spec(aggregate="avg"))
         assert mid.appendable
         coarse = derive_rollup(mid, spec(dims=("a",), aggregate="sum"))
@@ -361,7 +361,7 @@ class TestRouter:
         relation = two_attr_relation()
         router = LatticeRouter.for_source(relation, promote_after=2)
         shape = spec(aggregate="sum")
-        built = ExplanationCube(relation, ("a", "b"), "m", appendable=True)
+        built = ExplanationCube(relation, ("a", "b"), "m")
         assert router.route(shape)[1].decision == "miss"
         assert not router.record_build(shape, built)  # 1 miss < promote_after
         assert router.route(shape)[1].decision == "miss"
@@ -379,7 +379,7 @@ class TestRouter:
         shape = spec(aggregate="sum")
         router.route(shape)
         assert not router.record_build(
-            shape, ExplanationCube(relation, ("a", "b"), "m", appendable=False)
+            shape, fixed_cube(ExplanationCube(relation, ("a", "b"), "m"))
         )
 
     def test_promote_after_validation(self):

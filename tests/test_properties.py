@@ -256,6 +256,64 @@ def test_chunked_appends_match_single_append(data, aggregate):
     _assert_cubes_byte_identical(chunked, one_shot)
 
 
+@st.composite
+def three_attr_relations(draw):
+    """Ragged rows over attributes a, b and c with small domains.
+
+    ``c`` is either drawn freely or a function of ``a`` (a hierarchy), so
+    containment dedup fires at orders 2 and 3, also through redundant
+    intermediates.
+    """
+    hierarchical = draw(st.booleans())
+    rows = {"t": [], "a": [], "b": [], "c": [], "m": []}
+    for t in range(draw(st.integers(2, 5))):
+        for _ in range(draw(st.integers(1, 6))):
+            a = draw(st.integers(0, 2))
+            rows["t"].append(f"t{t:02d}")
+            rows["a"].append(f"a{a}")
+            rows["b"].append(f"b{draw(st.integers(0, 1))}")
+            rows["c"].append(f"c{a % 2 if hierarchical else draw(st.integers(0, 2))}")
+            rows["m"].append(draw(st.floats(-50.0, 50.0, allow_nan=False)))
+    schema = Schema.build(dimensions=["a", "b", "c"], measures=["m"], time="t")
+    return Relation(rows, schema), ["a", "b", "c"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.one_of(
+        streaming_relations().map(lambda data: data[:2]), three_attr_relations()
+    ),
+    aggregate=st.sampled_from(["sum", "count", "avg", "var"]),
+    max_order=st.integers(1, 3),
+    deduplicate=st.booleans(),
+)
+def test_build_matches_the_reference_enumeration(
+    data, aggregate, max_order, deduplicate
+):
+    """A cube build (an empty ledger plus one append) equals the one-shot
+    reference: its candidates, supports and series, byte for byte."""
+    from tests.test_datacube import _reference_finalize
+
+    relation, dimensions = data
+    cube = ExplanationCube(
+        relation,
+        dimensions,
+        "m",
+        aggregate=aggregate,
+        max_order=max_order,
+        deduplicate=deduplicate,
+    )
+    candidates, overall, included, excluded = _reference_finalize(
+        relation, dimensions, "m", aggregate, max_order, deduplicate
+    )
+    assert cube.labels == relation.time_positions()[1]
+    assert cube.explanations == candidates.explanations
+    assert cube.supports.tobytes() == candidates.supports.tobytes()
+    assert cube.overall_values.tobytes() == overall.tobytes()
+    assert cube.included_values.tobytes() == included.tobytes()
+    assert cube.excluded_values.tobytes() == excluded.tobytes()
+
+
 @settings(max_examples=10, deadline=None)
 @given(data=small_relations(), k=st.integers(2, 3))
 def test_optimal_k_plus_1_beats_every_single_split_refinement(data, k):
@@ -443,7 +501,7 @@ def test_lattice_derivation_equals_scratch_build(data, target_agg):
     if len(dimensions) < 2:
         return  # nothing finer to derive from
     finest = ExplanationCube(
-        relation, dimensions, "m", aggregate="var", max_order=2, appendable=True
+        relation, dimensions, "m", aggregate="var", max_order=2
     )
     for dims in [tuple(sorted(dimensions))] + [(d,) for d in dimensions]:
         target = RollupSpec(dims=dims, measure="m", aggregate=target_agg, max_order=2)

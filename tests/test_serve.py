@@ -736,6 +736,45 @@ def test_shutdown_waits_for_inflight_responses():
     assert result["payload"]["segments"]
 
 
+def _returns_within(call, seconds: float = 30.0):
+    """Run ``call`` on a helper thread joined under a timeout; returns
+    ``(finished, result)`` so a hang fails the test instead of the run."""
+    outcome: dict = {}
+    thread = threading.Thread(
+        target=lambda: outcome.setdefault("result", call()), daemon=True
+    )
+    thread.start()
+    thread.join(timeout=seconds)
+    return not thread.is_alive(), outcome.get("result")
+
+
+def test_shutdown_of_a_never_started_app_returns():
+    """No accept loop ran, so there is none to wait for."""
+    app = make_app(datasets=["covid-total"], port=0, access_log=False)
+    finished, _ = _returns_within(app.shutdown)
+    assert finished
+    app.shutdown()  # idempotent
+
+
+def test_bad_profile_rate_is_refused_before_binding(capsys):
+    """A profiler rate ``serve_forever`` would reject fails the start-up:
+    exit 2, the error, and no listening line (the CLI used to announce the
+    address, raise, then hang stopping an accept loop that never ran)."""
+    from repro.cli import main
+
+    with pytest.raises(QueryError, match="profiler hz"):
+        make_app(datasets=["covid-total"], port=0, access_log=False, profile_hz=0)
+    finished, code = _returns_within(
+        lambda: main(
+            ["serve", "--datasets", "covid-total", "--port", "0", "--profile-hz", "0"]
+        )
+    )
+    captured = capsys.readouterr()
+    assert finished and code == 2
+    assert "profiler hz must be in" in captured.err
+    assert "listening" not in captured.out
+
+
 def test_blank_parameter_is_400(app):
     """``?k=`` must be rejected loudly, not silently dropped."""
     for query in (
