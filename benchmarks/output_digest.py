@@ -23,6 +23,10 @@ runs a slice of it):
 * per dataset, on the middle window: a vanilla explain, a two-point
   diff, a ``recommend`` ranking, ``m`` 2 and 5, and ``max_order`` 1
   and 2 (the prepare-tier override path);
+* covid-daily and sp500 on the middle window, sketch on and off, k
+  auto, under every variant and difference metric the grid above
+  leaves out (``METRIC_COMBOS``: the other four variants with
+  absolute-change, and all eight with relative-change and risk-ratio);
 * pinned and full streams over covid-daily's last 12 days, one day per
   update, starting from the 60 days before them;
 * the cubes themselves (``CUBES``), each with containment dedup on and
@@ -56,6 +60,15 @@ DATASETS = (
     ("sp500", VARIANTS),
     ("liquor", ("tse", "allpair")),
 )
+#: ``(variant, metric)`` pairs beyond ``VARIANTS`` under absolute-change.
+METRIC_COMBOS = tuple(
+    (variant, metric)
+    for metric in ("absolute-change", "relative-change", "risk-ratio")
+    for variant in ("tse", "dist1", "dist2", "allpair", "Stse", "Sdist1", "Sdist2", "Sallpair")
+    if not (metric == "absolute-change" and variant in VARIANTS)
+)
+#: Datasets of the ``METRIC_COMBOS`` records, in hashing order.
+METRIC_DATASETS = ("covid-daily", "sp500")
 WINDOW_POINTS = 60
 STREAM_DAYS = 12
 #: ``(source, aggregate, max_order)`` cube builds of the corpus, in hashing
@@ -136,6 +149,24 @@ def dataset_records(name: str, variants=VARIANTS):
         yield f"{name} {field}={value}", render_result(
             session.explain(start, stop, config=query)
         )
+
+
+def metric_records(name: str, combos=METRIC_COMBOS):
+    data = load_dataset(name)
+    config = ExplainConfig.optimized(smoothing_window=data.smoothing_window)
+    session = ExplainSession(
+        data.relation,
+        data.measure,
+        data.explain_by,
+        aggregate=data.aggregate,
+        config=config,
+    )
+    start, stop = windows(session.series().labels)[1]
+    for variant, metric in combos:
+        for use_sketch in (True, False):
+            query = config.updated(variant=variant, metric=metric, use_sketch=use_sketch)
+            key = f"{name} {variant} {metric} sketch={use_sketch} {start}..{stop}"
+            yield key, render_result(session.explain(start, stop, config=query))
 
 
 def stream_records(resegment: str):
@@ -236,6 +267,7 @@ def digest(sources) -> tuple[int, str]:
 
 def main() -> None:
     sources = [dataset_records(name, variants) for name, variants in DATASETS]
+    sources += [metric_records(name) for name in METRIC_DATASETS]
     sources += [stream_records("pinned"), stream_records("full"), cube_records()]
     count, sha = digest(sources)
     print(f"results={count} sha256={sha}")

@@ -23,5 +23,6 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.10",
-    install_requires=["numpy"],
+    # np.vecdot (the segment costs' ideal DCGs) arrived in NumPy 2.0.
+    install_requires=["numpy>=2.0"],
 )

@@ -144,6 +144,9 @@ class TopMBatch:
 class DrillDownTree:
     """The static drill-down DAG over a fixed candidate list.
 
+    A flat list (:func:`single_attribute`) is built directly as the root
+    over one dimension's group, with no sub-conjunction to intern.
+
     Parameters
     ----------
     explanations:
@@ -152,8 +155,33 @@ class DrillDownTree:
     """
 
     def __init__(self, explanations: Sequence[Conjunction]):
-        if any(conj.order == 0 for conj in explanations):
+        if single_attribute(explanations):
+            self._build_flat(explanations)
+        elif any(conj.order == 0 for conj in explanations):
             raise ExplanationError("the empty conjunction cannot be a candidate")
+        else:
+            self._build_dag(explanations)
+        self._n_candidates = len(explanations)
+
+    def _build_flat(self, explanations: Sequence[Conjunction]) -> None:
+        """The root over one dimension's values: candidate ``p`` is node
+        ``p + 1``, and no sub-conjunction but the root exists."""
+        seen: set[Conjunction] = set()
+        for conjunction in explanations:
+            if conjunction in seen:
+                raise ExplanationError(f"duplicate candidate {conjunction!r}")
+            seen.add(conjunction)
+        n_candidates = len(explanations)
+        dim = explanations[0].items[0][0]
+        self._conjunctions = (Conjunction(()), *explanations)
+        self._selectable = np.arange(-1, n_candidates, dtype=np.intp)
+        self._children = (((dim, tuple(range(1, n_candidates + 1))),),) + ((),) * n_candidates
+        self._n_edges = n_candidates
+        self._topo = [*range(1, n_candidates + 1), _ROOT]
+        self._is_flat = True
+
+    def _build_dag(self, explanations: Sequence[Conjunction]) -> None:
+        """The DAG of candidates and their sub-conjunctions."""
         node_ids: dict[Conjunction, int] = {Conjunction(()): _ROOT}
         conjs: list[Conjunction] = [Conjunction(())]
         selectable: list[int] = [-1]
@@ -191,16 +219,13 @@ class DrillDownTree:
 
         self._conjunctions = tuple(conjs)
         self._selectable = np.asarray(selectable, dtype=np.intp)
-        self._children: tuple[tuple[tuple[str, tuple[int, ...]], ...], ...] = tuple(
+        self._children = tuple(
             tuple((dim, tuple(kids)) for dim, kids in sorted(by_dim.items()))
             for by_dim in children
         )
         # Deepest-first topological order (children always precede parents).
-        self._topo = sorted(
-            range(len(conjs)), key=lambda node: -self._conjunctions[node].order
-        )
-        self._n_candidates = len(explanations)
-        self._is_flat = single_attribute(explanations)
+        self._topo = sorted(range(len(conjs)), key=lambda node: -conjs[node].order)
+        self._is_flat = False
 
     @property
     def n_nodes(self) -> int:
@@ -256,9 +281,8 @@ def single_attribute(explanations: Sequence[Conjunction]) -> bool:
     values (:attr:`DrillDownTree.is_flat`), so callers can decide
     flatness without building the DAG.
     """
-    if not explanations or any(conj.order != 1 for conj in explanations):
-        return False
-    return len({conj.items[0][0] for conj in explanations}) == 1
+    attributes = {conj.items[0][0] if conj.order == 1 else None for conj in explanations}
+    return len(attributes) == 1 and None not in attributes
 
 
 def _proper_subconjunctions(conjunction: Conjunction) -> Iterator[Conjunction]:

@@ -107,23 +107,22 @@ class GuessAndVerify:
         m = self._m
         n_segments, n_candidates = gammas.shape
         batch = TopMBatch.zeros(n_segments, m)
-        order = np.argsort(-gammas, axis=1, kind="stable")
         pending = np.arange(n_segments)
         guess = min(self._initial_guess, n_candidates)
         while pending.size:
             self.iterations += 1
+            rows = gammas[pending]
             if guess < n_candidates:
-                union = np.unique(order[pending, :guess])
-            else:
+                union, tail = guess_prefixes(rows, guess, m)
+            else:  # every candidate: the full fallback below
                 union = np.arange(n_candidates)
             if union.shape[0] >= _FULL_FALLBACK_FRACTION * n_candidates:
-                batch.put(pending, self._full().solve_batch(gammas[pending]))
+                batch.put(pending, self._full().solve_batch(rows))
                 break
-            local = self._restricted_solver(union).solve_batch(gammas[pending][:, union])
+            local = self._restricted_solver(union).solve_batch(rows[:, union])
             local.indices = np.where(local.valid, union[local.indices], 0)
             # Eq. 12 for every pending row at once: Best[m] must reach
             # Best[m'] plus the next m - m' scores after the guess.
-            tail = np.take_along_axis(gammas[pending], order[pending, guess : guess + m], axis=1)
             needed = np.minimum(m - np.arange(m), tail.shape[1])
             tail_sums = np.cumsum(tail, axis=1)[:, needed - 1]
             best_m = local.best[:, m]
@@ -156,3 +155,25 @@ class GuessAndVerify:
         else:
             self._cache.move_to_end(key)
         return solver
+
+
+def guess_prefixes(gammas: np.ndarray, guess: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """One guess round's reads of a ``(rows, n)`` gamma matrix, for
+    ``guess < n``: the ascending union of every row's first ``guess``
+    candidates in stable descending order (higher gamma first, ties by
+    position), and each row's scores at ranks ``guess .. guess + m - 1``
+    (fewer past the last candidate).
+
+    One partition at those ranks places the scores without sorting whole
+    rows.  A row's prefix is every candidate scoring above its
+    ``guess``-th score plus the leftmost of those tied at it.
+    """
+    negated = -gammas
+    ranks = np.arange(guess - 1, min(guess + m, gammas.shape[1]))
+    parted = np.partition(negated, ranks, axis=1)
+    threshold = parted[:, guess - 1, None]
+    above = negated < threshold
+    tied = negated == threshold
+    room = guess - np.count_nonzero(above, axis=1)
+    prefix = above | (tied & (np.cumsum(tied, axis=1) <= room[:, None]))
+    return np.flatnonzero(prefix.any(axis=0)), -parted[:, guess : guess + m]

@@ -73,8 +73,17 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.relation.table import Relation
 
 
+#: The one NaN every float NaN value maps to.  A NaN equals nothing, not
+#: even itself, so tuple and dict lookups of group and label keys can
+#: match NaNs only by identity.
+_NAN = float("nan")
+
+
 def _python_value(value: object) -> object:
-    return value.item() if hasattr(value, "item") else value
+    """The Python scalar a ledger keys on: numpy scalars unwrapped, and
+    every float NaN the shared :data:`_NAN`."""
+    value = value.item() if hasattr(value, "item") else value
+    return _NAN if isinstance(value, float) and value != value else value
 
 
 @dataclass(frozen=True)

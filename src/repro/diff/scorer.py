@@ -95,6 +95,18 @@ class SegmentScorer:
         contributions = self._cube.signed_contributions(starts, stops, indices)
         return change_effect(contributions).astype(np.int8)
 
+    def gamma_tau_at(
+        self, starts: np.ndarray, stops: np.ndarray, indices: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``gamma`` and ``tau`` of candidate ``indices[s]`` over segment
+        ``s`` alone, for a batch: :meth:`tau_at` with the scores, each
+        element computed as :meth:`gamma_tau` computes it."""
+        starts, stops = self._coerce_segments(starts, stops)
+        contributions = self._cube.signed_contributions(starts, stops, indices)
+        overall = self._cube.overall_values
+        scores = self._metric.score(contributions, overall[stops] - overall[starts])
+        return scores, change_effect(contributions).astype(np.int8)
+
     def gamma_tau(
         self, start: int, stop: int, indices: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:

@@ -4,7 +4,8 @@
 precomputed ``|P| * var(P)`` matrix.  The DP fills every ``k`` up to the
 requested maximum in one pass, which is exactly what the elbow method of
 section 6 needs ("collecting D(n, K) with varying K from 1 to 20 does not
-add extra cost").
+add extra cost").  Each ``k`` is one array pass over every end point;
+ties go to the smallest ``j'``.
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ class SegmentationScheme:
         return list(zip(self.boundaries, self.boundaries[1:]))
 
 
-def solve_k_segmentation(
-    cost: np.ndarray, k_max: int, max_object_span: int | None = None
-) -> list[SegmentationScheme]:
+def solve_k_segmentation(cost: np.ndarray, k_max: int) -> list[SegmentationScheme]:
     """Optimal schemes for every ``K`` in ``1..k_max``.
 
     Parameters
@@ -58,18 +57,21 @@ def solve_k_segmentation(
         ``(N, N)`` cost matrix over reduced points; ``cost[i, j]`` is the
         weighted variance of segment ``[i, j]`` and ``inf`` marks
         disallowed segments (e.g. exceeding the sketch length constraint).
+        Only the strict upper triangle is read.
     k_max:
         Largest segment count of interest (paper caps at 20).
-    max_object_span:
-        Optional hard cap on ``j - i`` in *reduced* indices, an additional
-        pruning knob; the usual length constraint is already encoded as
-        ``inf`` entries in ``cost``.
 
     Returns
     -------
     list of :class:`SegmentationScheme`
         Entry ``r`` is the optimal scheme with ``K = r + 1`` segments.
         Infeasible ``K`` (larger than ``N - 1``) are omitted.
+
+    Each ``K`` fills its column of the table in one array pass: row ``j``
+    of a scratch matrix holds ``D(j', K-1) + cost(j', j)`` for every
+    ``j' < j`` (every other entry ``inf``), and its ``argmin`` is the
+    first minimum, the ``j'`` a loop over ascending ``j'`` would keep on a
+    tie.  An end point is recorded only where its minimum is finite.
     """
     n_points = cost.shape[0]
     if cost.ndim != 2 or cost.shape[1] != n_points:
@@ -84,18 +86,20 @@ def solve_k_segmentation(
     table = np.full((n_points, k_max + 1), np.inf)
     parent = np.full((n_points, k_max + 1), -1, dtype=np.intp)
     table[0, 0] = 0.0
+    # sums[j, j'] = D(j', k-1) + cost(j', j) for j' < j, else inf: one
+    # buffer for every k, written below its diagonal only.
+    sums = np.full((n_points, n_points), np.inf)
+    ends = np.arange(n_points)
+    before = ends[None, :] < ends[:, None]
     for k in range(1, k_max + 1):
-        # Segment ends j need at least k objects before them.
-        for j in range(k, n_points):
-            lo = k - 1
-            if max_object_span is not None:
-                lo = max(lo, j - max_object_span)
-            candidates = table[lo:j, k - 1] + cost[lo:j, j]
-            best = int(np.argmin(candidates))
-            value = candidates[best]
-            if np.isfinite(value):
-                table[j, k] = value
-                parent[j, k] = lo + best
+        np.add(cost.T, table[:, k - 1], out=sums, where=before)
+        # A segment ending at j needs k - 1 segments over [0, j'] first.
+        sums[:, : k - 1] = np.inf
+        best = np.argmin(sums[k:], axis=1)
+        value = sums[ends[k:], best]
+        found = np.isfinite(value)
+        table[k:, k][found] = value[found]
+        parent[k:, k][found] = best[found]
 
     schemes: list[SegmentationScheme] = []
     for k in range(1, k_max + 1):

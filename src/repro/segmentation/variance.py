@@ -7,7 +7,11 @@ precomputes that entire matrix:
 1. score every *unit object* ``[p_x, p_x+1]`` and every candidate segment
    with the cascading-analysts solver (module b of the pipeline);
 2. evaluate the NDCG-based distance between each object and its segment's
-   centroid (Eqs. 3–6) — vectorized across the objects of a segment;
+   centroid (Eqs. 3–6) — in array passes over the objects of many
+   segments at once.  Each product and sum runs on a stack of segments
+   covering the same number of objects (a *span*), in each segment's own
+   layout, so a cost is bit for bit what evaluating its segment alone
+   gives (the tests keep that evaluation as the reference);
 3. for the ``allpair`` variance structures (Eq. 10), precompute the full
    object-pair distance matrix once and reduce any segment's variance to a
    2-D prefix-sum lookup.
@@ -40,6 +44,13 @@ from repro.diff.scorer import SegmentScorer
 from repro.exceptions import SegmentationError
 from repro.obs import trace
 from repro.segmentation.distance import ALLPAIR_VARIANTS, VARIANTS, dcg_weights
+
+
+#: Elements (objects x m, summed over segments) of one
+#: :meth:`SegmentationCosts._centroid_costs` block, whose temporaries peak
+#: near 2 MiB.  Twice the budget ran no faster and left a stream ~1 MiB
+#: more peak RSS (allocator retention).
+_COST_BLOCK = 1 << 14
 
 
 class TopMSolver(Protocol):
@@ -334,6 +345,7 @@ class SegmentationCosts:
         self._gamma_unit, self._tau_unit = gamma, tau
         units = self._batch.take(slice(0, self._n_units))
         self._unit_idx, self._unit_tau, self._unit_valid = units.indices, units.taus, units.valid
+        self._unit_counts = units.counts
         self._ideal_unit = units.gammas @ self._weights
 
     def _fill_costs(
@@ -408,66 +420,117 @@ class SegmentationCosts:
     def _fill_costs_centroid(
         self, pair_i: np.ndarray, pair_j: np.ndarray, first_row: int
     ) -> None:
-        """Solve the pairs into batch rows ``first_row`` on, and cost them."""
+        """Solve the pairs into batch rows ``first_row`` on, and cost them.
+
+        The solves run in chunks of pairs in row-major order.  The costs
+        run over the pairs sorted by span (the number of unit objects a
+        segment covers) and selection count, in blocks of at most about
+        :data:`_COST_BLOCK` elements (:meth:`_centroid_costs`).
+        """
         epsilon = max(self._scorer.cube.n_explanations, 1)
         chunk = int(np.clip(32_000_000 // (8 * epsilon), 64, 8192))
+        starts, stops = self._positions[pair_i], self._positions[pair_j]
         for offset in range(0, pair_i.shape[0], chunk):
-            block_i = pair_i[offset : offset + chunk]
-            block_j = pair_j[offset : offset + chunk]
+            block = slice(offset, offset + chunk)
             row = first_row + offset
-            self._batch.put(
-                slice(row, row + block_i.shape[0]),
-                self._solve_segments(self._positions[block_i], self._positions[block_j]),
+            solved = self._solve_segments(starts[block], stops[block])
+            self._batch.put(slice(row, row + len(solved)), solved)
+        if not pair_i.size:
+            return
+        rows = first_row + np.arange(pair_i.shape[0])
+        spans = stops - starts
+        order = np.lexsort((self._batch.counts[rows], spans))
+        # A block ends where the running element count crosses a multiple
+        # of the budget, so it overshoots by less than one segment.
+        blocks = (np.cumsum(spans[order]) * self._m - 1) // _COST_BLOCK
+        bounds = [0, *(np.flatnonzero(np.diff(blocks)) + 1).tolist(), order.shape[0]]
+        for lo, hi in zip(bounds, bounds[1:]):
+            pairs = order[lo:hi]
+            self._cost[pair_i[pairs], pair_j[pairs]] = self._centroid_costs(
+                rows[pairs], starts[pairs], spans[pairs]
             )
-            for i, j in zip(block_i.tolist(), block_j.tolist()):
-                self._cost[i, j] = self._centroid_cost(i, j, row)
-                row += 1
 
-    def _centroid_cost(self, i: int, j: int, row: int) -> float:
-        """``sum_x dist(object_x, centroid)`` over the covered unit objects,
-        the centroid being batch row ``row``."""
-        weights = self._weights
-        start_pos = int(self._positions[i])
-        stop_pos = int(self._positions[j])
-        span = slice(start_pos, stop_pos)
-        n_objects = stop_pos - start_pos
-        k = int(self._batch.counts[row])
+    def _centroid_costs(
+        self, rows: np.ndarray, starts: np.ndarray, spans: np.ndarray
+    ) -> np.ndarray:
+        """``sum_x dist(object_x, centroid)`` of the segments covering
+        ``spans[p]`` unit objects from original position ``starts[p]``,
+        their centroids being batch rows ``rows``, sorted by span and then
+        by selection count.
 
-        # --- NDCG(object_x, E*(centroid)) per object ----------------------
-        if k:
-            c_idx = self._batch.indices[row, :k]
-            c_tau = self._batch.taus[row, :k]
-            rel = self._gamma_unit[c_idx][:, span]  # (m_c, L)
-            agree = self._tau_unit[c_idx][:, span] == c_tau[:, None]
-            numerator = (rel * agree).T @ weights[:k]  # (L,)
-        else:
-            numerator = np.zeros(n_objects)
-        ideal = self._ideal_unit[span]
-        centroid_explains_obj = np.ones(n_objects)
-        positive = ideal > 0.0
-        centroid_explains_obj[positive] = np.minimum(
-            numerator[positive] / ideal[positive], 1.0
+        Every float operation is the one a single segment's evaluation
+        would do, in the same order.  Element-wise work runs over all the
+        segments' objects laid end to end.  The two matrix-vector products
+        (their rounding depends on the matrix shape) and the sum over
+        ``span`` distances run once per group of equal span and selection
+        count, on a stack of the segments' own layouts; the centroids'
+        ideal DCGs, dot products over their filled ranks, once per count.
+        Only filled ranks are gathered: an emptied candidate set has no
+        candidate 0.
+        """
+        weights, m = self._weights, self._m
+        centroids = self._batch.take(rows)
+        counts = centroids.counts
+        n_pairs = rows.shape[0]
+        first = np.cumsum(spans) - spans  # each segment's first object
+        pair = np.repeat(np.arange(n_pairs), spans)
+        unit = np.arange(pair.shape[0]) - first[pair] + starts[pair]
+        n_objects = unit.shape[0]
+
+        # --- NDCG(centroid, E*(object_x)) relevances ----------------------
+        # Every object's filled ranks scored over its segment, into an
+        # (E, m) array that is zero beyond each object's count.
+        filled = self._unit_counts[unit]
+        obj = np.repeat(np.arange(n_objects), filled)
+        rank = np.arange(obj.shape[0]) - np.repeat(np.cumsum(filled) - filled, filled)
+        slot = unit[obj] * m + rank  # into the units' (n_units, m) rows
+        segment = pair[obj]
+        gamma, tau = self._scorer.gamma_tau_at(
+            starts[segment], starts[segment] + spans[segment], self._unit_idx.ravel()[slot]
+        )
+        relevance_back = np.zeros((n_objects, m))
+        relevance_back.reshape(-1)[obj * m + rank] = gamma * (
+            tau == self._unit_tau.ravel()[slot]
         )
 
-        # --- NDCG(centroid, E*(object_x)) per object ----------------------
-        ideal_centroid = (
-            float(np.dot(self._batch.gammas[row, :k], weights[:k])) if k else 0.0
-        )
-        if ideal_centroid > 0.0:
-            # The objects' winners (L, m) scored over the centroid segment.
-            rel, tau = self._scorer.gamma_tau(start_pos, stop_pos, self._unit_idx[span])
-            agree = tau == self._unit_tau[span]
-            masked = rel * agree * self._unit_valid[span]
-            numerator_back = masked @ weights
-            obj_explains_centroid = np.minimum(numerator_back / ideal_centroid, 1.0)
-        else:
-            obj_explains_centroid = np.ones(n_objects)
+        # The centroids' ideal DCGs: a dot product over each one's k
+        # filled ranks, one call per k.
+        ideal_centroid = np.zeros(n_pairs)
+        for k in np.unique(counts[counts > 0]).tolist():
+            same = counts == k
+            ideal_centroid[same] = np.vecdot(centroids.gammas[same, :k], weights[:k])
+
+        numerator = np.zeros(n_objects)
+        numerator_back = np.empty(n_objects)
+        groups = np.flatnonzero(np.diff(spans) | np.diff(counts)) + 1
+        bounds = [0, *groups.tolist(), n_pairs]
+        for lo, hi in zip(bounds, bounds[1:]):
+            n, span, k = hi - lo, int(spans[lo]), int(counts[lo])
+            objects = slice(int(first[lo]), int(first[lo]) + n * span)
+            # C-ordered (L, m) per segment.
+            block = relevance_back[objects].reshape(n, span, m)
+            numerator_back[objects] = (block @ weights).ravel()
+            if k:
+                # NDCG(object_x, E*(centroid)): the centroid's k winners
+                # over its objects, F-ordered (L, k) per segment.
+                winners = centroids.indices[lo:hi, :k, None]
+                covered = unit[objects].reshape(n, 1, span)
+                relevance = self._gamma_unit[winners, covered] * (
+                    self._tau_unit[winners, covered] == centroids.taus[lo:hi, :k, None]
+                )
+                numerator[objects] = (relevance.transpose(0, 2, 1) @ weights[:k]).ravel()
+        centroid_explains_obj = _bounded_ratio(numerator, self._ideal_unit[unit])
+        obj_explains_centroid = _bounded_ratio(numerator_back, ideal_centroid[pair])
 
         # combine_ndcg convention: first argument is NDCG(P_i, E*(P_j))
         # with P_i the centroid (Eq. 8).
-        return float(
-            np.sum(self._combine(obj_explains_centroid, centroid_explains_obj))
-        )
+        distance = self._combine(obj_explains_centroid, centroid_explains_obj)
+        costs = np.empty(n_pairs)
+        for lo, hi in zip(bounds, bounds[1:]):
+            n, span = hi - lo, int(spans[lo])
+            begin = int(first[lo])
+            costs[lo:hi] = distance[begin : begin + n * span].reshape(n, span).sum(axis=1)
+        return costs
 
     # ------------------------------------------------------------------
     # All-pair variants (Eq. 10)
@@ -531,6 +594,15 @@ def scheme_total_variance(
     """
     pairs = zip(boundaries, boundaries[1:])
     return costs.total_cost(boundaries), [costs.variance(i, j) for i, j in pairs]
+
+
+def _bounded_ratio(numerator: np.ndarray, ideal: np.ndarray) -> np.ndarray:
+    """``min(numerator / ideal, 1)`` where ``ideal > 0``, else 1: the NDCG
+    of a flat target (ideal DCG 0) is 1, as in
+    :func:`repro.segmentation.distance.ndcg`."""
+    ratio = np.ones_like(numerator)
+    np.divide(numerator, ideal, out=ratio, where=ideal > 0.0)
+    return np.minimum(ratio, 1.0, out=ratio)
 
 
 def _attach_taus(batch: TopMBatch, gather) -> TopMBatch:

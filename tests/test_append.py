@@ -39,6 +39,9 @@ from repro.segmentation.variance import SegmentationCosts
 from tests.conftest import build_relation, fixed_cube
 
 
+NAN = float("nan")
+
+
 def day_rows(days, value=lambda t, cat: 10.0 + t, cats=("a", "b")):
     rows = {"t": [], "cat": [], "m": []}
     for t in days:
@@ -128,6 +131,36 @@ class TestCubeAppend:
             cube.append(day_rows([2, 3]))
         assert cube.n_times == 5
         assert cube.included_values.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "base, delta",
+        [
+            # A NaN dimension value: one candidate, as in a one-shot build.
+            (
+                ([0, 0, 1, 1], [1.0, NAN, 1.0, NAN], [1.0, 2.0, 3.0, 4.0]),
+                ([2, 2], [1.0, NAN], [5.0, 6.0]),
+            ),
+            # Late rows at a NaN time label, the axis's last.
+            (
+                ([0.0, 1.0, NAN], ["x", "y", "x"], [1.0, 2.0, 3.0]),
+                ([NAN], ["y"], [4.0]),
+            ),
+        ],
+        ids=["nan-value", "nan-label"],
+    )
+    def test_nan_keys_append_like_a_one_shot_build(self, base, delta):
+        def relation(times, values, measures):
+            columns = {"t": list(times), "a": list(values), "m": list(measures)}
+            return build_relation(columns, dimensions=["a"], measures=["m"], time="t")
+
+        cube = ExplanationCube(relation(*base), ["a"], "m")
+        cube.append(relation(*delta))
+        one_shot = ExplanationCube(relation(*(b + d for b, d in zip(base, delta))), ["a"], "m")
+        assert repr(cube.labels) == repr(one_shot.labels)
+        assert repr(cube.explanations) == repr(one_shot.explanations)
+        assert cube.supports.tolist() == one_shot.supports.tolist()
+        assert cube.included_values.tobytes() == one_shot.included_values.tobytes()
+        assert cube.excluded_values.tobytes() == one_shot.excluded_values.tobytes()
 
     def test_mismatched_schema_is_rejected(self):
         cube = ExplanationCube(day_rows(range(5)), ["cat"], "m")

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.ca.bruteforce import cascading_optimum, is_non_overlapping
 from repro.ca.cascade import CascadingAnalysts, DrillDownTree, TopMBatch, single_attribute
@@ -71,11 +71,19 @@ _conjunctions = st.lists(
 
 @settings(max_examples=200, deadline=None)
 @given(candidates=st.lists(_conjunctions, max_size=8, unique=True))
+@example(candidates=[conj(B=2), conj(B=0), conj(B=1)])
 def test_single_attribute_is_the_flat_dag(candidates):
     tree = DrillDownTree(candidates)
     # Flat means the DAG is the root over one dimension's candidates.
     flat_shape = tree.n_nodes == len(candidates) + 1 and len(tree.children_of(0)) == 1
     assert single_attribute(candidates) == tree.is_flat == flat_shape
+    if tree.is_flat:
+        # The direct flat build has the general build's structure.
+        general = DrillDownTree.__new__(DrillDownTree)
+        general._build_dag(candidates)
+        for name in ("_conjunctions", "_children", "_topo", "_n_edges"):
+            assert getattr(tree, name) == getattr(general, name)
+        assert tree._selectable.tolist() == general._selectable.tolist()
 
 
 def test_duplicate_candidates_rejected():

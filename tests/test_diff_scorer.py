@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cube.datacube import ExplanationCube
+from repro.diff.metrics import available_metrics
 from repro.diff.scorer import SegmentScorer
 from repro.exceptions import QueryError
 from repro.relation.predicates import Conjunction
@@ -75,6 +76,22 @@ def test_gamma_tau_many_matches_single(scorer):
         single_gamma, single_tau = scorer.gamma_tau(int(start), int(stop))
         assert np.allclose(gammas[:, column], single_gamma)
         assert np.array_equal(taus[:, column], single_tau.astype(np.int8))
+
+
+@pytest.mark.parametrize("metric", available_metrics())
+def test_gamma_tau_at_is_gamma_tau_element_wise(metric):
+    """Element ``s`` is :meth:`gamma_tau`'s score and change effect of
+    candidate ``indices[s]`` over segment ``s``, bit for bit."""
+    scorer = SegmentScorer(ExplanationCube(regime_relation(), ["cat"], "sales"), metric)
+    starts = np.asarray([0, 0, 2, 5, 11, 12])
+    stops = np.asarray([4, 4, 9, 23, 13, 20])
+    indices = np.asarray([0, 2, 1, 2, 0, 1])
+    gammas, taus = scorer.gamma_tau_at(starts, stops, indices)
+    assert taus.dtype == np.int8
+    for s, (start, stop) in enumerate(zip(starts, stops)):
+        gamma, tau = scorer.gamma_tau(int(start), int(stop), indices[s : s + 1])
+        assert gammas[s].tobytes() == gamma[0].tobytes()
+        assert taus[s] == tau[0]
 
 
 def test_overall_changes_batch(scorer):

@@ -4,11 +4,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.ca.bruteforce import is_non_overlapping
 from repro.ca.cascade import CascadingAnalysts, DrillDownTree
-from repro.ca.guess_verify import GuessAndVerify
+from repro.ca.guess_verify import GuessAndVerify, guess_prefixes
 from repro.exceptions import ExplanationError
 from repro.relation.predicates import Conjunction
 from tests.conftest import assert_batch_format, top_m_inputs
@@ -133,3 +133,31 @@ def test_batch_rows_are_verified_optima(inputs, rng):
     shuffled = GuessAndVerify(candidates, m=m, initial_guess=m).solve_batch(gammas[order])
     for position, row in enumerate(order):
         assert shuffled[position] == batch[row]
+
+
+def argsort_prefixes(gammas: np.ndarray, guess: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """A guess round's reads off a full stable argsort of every row: the
+    union of the first ``guess`` columns and the scores at ranks
+    ``guess .. guess + m - 1``."""
+    order = np.argsort(-gammas, axis=1, kind="stable")
+    tail = np.take_along_axis(gammas, order[:, guess : guess + m], axis=1)
+    return np.unique(order[:, :guess]), tail
+
+
+@settings(max_examples=300, deadline=None)
+@given(inputs=top_m_inputs(max_candidates=40), data=st.data())
+def test_partition_select_reads_what_a_full_argsort_reads(inputs, data):
+    """Same union and tail bytes as the stable argsort, for the batch and
+    for each row alone (a row's union is its own prefix, so ties at the
+    guess boundary must go to the smallest positions)."""
+    _, gammas, m = inputs
+    n_candidates = gammas.shape[1]
+    assume(n_candidates >= 2)
+    guess = data.draw(st.integers(1, n_candidates - 1))
+    for rows in [gammas, *gammas[:, None]]:
+        union, tail = guess_prefixes(rows, guess, m)
+        expected_union, expected_tail = argsort_prefixes(rows, guess, m)
+        assert union.dtype == expected_union.dtype
+        assert union.tolist() == expected_union.tolist()
+        assert tail.shape == expected_tail.shape
+        assert tail.tobytes() == expected_tail.tobytes()

@@ -6,7 +6,35 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exceptions import SegmentationError
 from repro.segmentation.bruteforce import exhaustive_best_segmentation, random_schemes
-from repro.segmentation.dp import solve_k_segmentation
+from repro.segmentation.dp import SegmentationScheme, solve_k_segmentation
+
+
+def reference_k_segmentation(cost: np.ndarray, k_max: int) -> list[SegmentationScheme]:
+    """The DP one end point at a time, each ``argmin`` over ``j'`` in
+    ``[K-1, j)``: the schemes the column fill must reproduce, ties and
+    bits included."""
+    n_points = cost.shape[0]
+    k_max = min(k_max, n_points - 1)
+    table = np.full((n_points, k_max + 1), np.inf)
+    parent = np.full((n_points, k_max + 1), -1, dtype=np.intp)
+    table[0, 0] = 0.0
+    for k in range(1, k_max + 1):
+        for j in range(k, n_points):
+            candidates = table[k - 1 : j, k - 1] + cost[k - 1 : j, j]
+            best = int(np.argmin(candidates))
+            if np.isfinite(candidates[best]):
+                table[j, k] = candidates[best]
+                parent[j, k] = k - 1 + best
+    schemes = []
+    for k in range(1, k_max + 1):
+        if np.isfinite(table[n_points - 1, k]):
+            boundaries = [n_points - 1]
+            for level in range(k, 0, -1):
+                boundaries.append(int(parent[boundaries[-1], level]))
+            schemes.append(
+                SegmentationScheme(tuple(reversed(boundaries)), float(table[n_points - 1, k]))
+            )
+    return schemes
 
 
 def random_cost_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -62,6 +90,39 @@ def test_dp_optimal_property(data):
     scheme = schemes[k - 1]
     _, best = exhaustive_best_segmentation(cost, k)
     assert scheme.total_cost == pytest.approx(best)
+
+
+@st.composite
+def dp_matrices(draw):
+    """A square matrix of 2-12 points: half from a few values that tie in
+    sums (``inf`` among them), half uniform with some ``inf``.  The
+    diagonal and lower triangle hold anything, negatives and NaN too: the
+    DP must not read them."""
+    n = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        entries = st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, np.inf])
+    else:
+        entries = st.floats(0, 10, allow_nan=False) | st.just(np.inf)
+    cost = np.asarray(draw(st.lists(entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    garbage = st.sampled_from([0.0, -1.0, -np.inf, np.nan, 0.25])
+    below = np.tril_indices(n)
+    cost[below] = draw(st.lists(garbage, min_size=below[0].size, max_size=below[0].size))
+    return cost
+
+
+@settings(max_examples=300, deadline=None)
+@given(cost=dp_matrices(), k_max=st.integers(1, 14))
+def test_column_fill_matches_the_per_end_point_loop(cost, k_max):
+    """Same schemes, boundaries and total-cost bits as the loop DP, or the
+    same refusal when no scheme is feasible; ``k_max`` may exceed N - 1."""
+    expected = reference_k_segmentation(cost, k_max)
+    if not expected:
+        with pytest.raises(SegmentationError):
+            solve_k_segmentation(cost, k_max)
+        return
+    schemes = solve_k_segmentation(cost, k_max)
+    assert [s.boundaries for s in schemes] == [s.boundaries for s in expected]
+    assert [s.total_cost.hex() for s in schemes] == [s.total_cost.hex() for s in expected]
 
 
 def test_monotone_in_k_for_superadditive_costs():

@@ -2,13 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.ca.cascade import CascadingAnalysts, DrillDownTree
 from repro.ca.guess_verify import GuessAndVerify
+from repro.core.config import ExplainConfig
+from repro.core.pipeline import make_solver
+from repro.core.session import ExplainSession
 from repro.cube.datacube import ExplanationCube
+from repro.diff.metrics import available_metrics
 from repro.diff.scorer import SegmentScorer
 from repro.exceptions import SegmentationError
-from repro.segmentation.distance import VARIANTS, explanation_distance
+from repro.segmentation.distance import ALLPAIR_VARIANTS, VARIANTS, explanation_distance
 from repro.segmentation.variance import SegmentationCosts, scheme_total_variance
 from tests.conftest import (
     assert_batch_format,
@@ -16,6 +21,56 @@ from tests.conftest import (
     regime_relation,
     two_attr_relation,
 )
+
+
+def reference_centroid_cost(costs: SegmentationCosts, i: int, j: int) -> float:
+    """``sum_x dist(object_x, centroid)`` of the reduced segment ``[i, j]``,
+    one segment at a time: the evaluation the span kernel batches, whose
+    bits it must reproduce."""
+    weights = costs._weights
+    batch = costs._batch
+    row = int(costs._row[i, j])
+    start_pos = int(costs.positions[i])
+    stop_pos = int(costs.positions[j])
+    span = slice(start_pos, stop_pos)
+    n_objects = stop_pos - start_pos
+    k = int(batch.counts[row])
+
+    # --- NDCG(object_x, E*(centroid)) per object ----------------------
+    if k:
+        c_idx = batch.indices[row, :k]
+        c_tau = batch.taus[row, :k]
+        rel = costs._gamma_unit[c_idx][:, span]  # (m_c, L)
+        agree = costs._tau_unit[c_idx][:, span] == c_tau[:, None]
+        numerator = (rel * agree).T @ weights[:k]  # (L,)
+    else:
+        numerator = np.zeros(n_objects)
+    ideal = costs._ideal_unit[span]
+    centroid_explains_obj = np.ones(n_objects)
+    positive = ideal > 0.0
+    centroid_explains_obj[positive] = np.minimum(numerator[positive] / ideal[positive], 1.0)
+
+    # --- NDCG(centroid, E*(object_x)) per object ----------------------
+    ideal_centroid = float(np.dot(batch.gammas[row, :k], weights[:k])) if k else 0.0
+    if ideal_centroid > 0.0:
+        # The objects' winners (L, m) scored over the centroid segment.
+        rel, tau = costs._scorer.gamma_tau(start_pos, stop_pos, costs._unit_idx[span])
+        agree = tau == costs._unit_tau[span]
+        masked = rel * agree * costs._unit_valid[span]
+        numerator_back = masked @ weights
+        obj_explains_centroid = np.minimum(numerator_back / ideal_centroid, 1.0)
+    else:
+        obj_explains_centroid = np.ones(n_objects)
+    return float(np.sum(costs._combine(obj_explains_centroid, centroid_explains_obj)))
+
+
+def reference_cost_matrix(costs: SegmentationCosts) -> np.ndarray:
+    """``costs``' cost matrix with every solved segment re-costed by
+    :func:`reference_centroid_cost`."""
+    expected = costs.cost_matrix.copy()
+    for i, j in zip(*np.nonzero(costs._row >= costs._n_units)):
+        expected[i, j] = reference_centroid_cost(costs, int(i), int(j))
+    return expected
 
 
 def noisy_relation(n_times: int, seed: int = 0):
@@ -44,7 +99,71 @@ def covid_like():
     return make_parts(regime_relation(), ["cat"], "sales")
 
 
-@pytest.mark.parametrize("variant", [v for v in VARIANTS if v not in ("allpair", "Sallpair")])
+CENTROID_VARIANTS = [v for v in VARIANTS if v not in ALLPAIR_VARIANTS]
+
+
+@st.composite
+def segmentation_inputs(draw):
+    """A random relation over one or two attributes, with a config that
+    sets the metric, the variant, smoothing, the support filter (a quarter
+    of the draws empty the candidate set) and the solver; plus a cut grid
+    and a ``max_length`` that fit the series."""
+    n_times = draw(st.integers(3, 20))
+    attributes = draw(st.sampled_from([("a",), ("a", "b")]))
+    values_b = "pq" if len(attributes) == 2 else "p"
+    grid = [(t, a, b) for t in range(n_times) for a in "xyz" for b in values_b]
+    # Small integers tie in gamma; their signs mix the change effects.
+    values = st.integers(-3, 3).map(float) | st.floats(-50, 50, allow_nan=False)
+    # Positive values, each group a small share of every point, under a
+    # 0.999 support filter: an emptied candidate set.
+    emptied = draw(st.sampled_from([False, False, False, True]))
+    if emptied:
+        values = st.integers(1, 3).map(float)
+    columns = {
+        "t": [f"t{t:02d}" for t, _, _ in grid],
+        "a": [a for _, a, _ in grid],
+        "m": draw(st.lists(values, min_size=len(grid), max_size=len(grid))),
+    }
+    if len(attributes) == 2:
+        columns["b"] = [b for _, _, b in grid]
+    relation = build_relation(columns, list(attributes), ["m"], time="t")
+    m = draw(st.integers(1, 4))
+    config = ExplainConfig(
+        m=m,
+        metric=draw(st.sampled_from(available_metrics())),
+        variant=draw(st.sampled_from(CENTROID_VARIANTS)),
+        smoothing_window=draw(st.sampled_from([None, 3])),
+        filter_ratio=0.999 if emptied else 0.001,
+        use_guess_verify=draw(st.booleans()),
+        initial_guess=draw(st.integers(m, 6)),
+    )
+    inner = draw(st.lists(st.integers(1, n_times - 2), unique=True))
+    cuts = None if draw(st.booleans()) else np.asarray(sorted({0, n_times - 1, *inner}))
+    widest = int(np.diff(cuts).max()) if cuts is not None else 1
+    max_length = draw(st.none() | st.integers(widest, n_times))
+    return relation, list(attributes), config, cuts, max_length
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs=segmentation_inputs(), regrid=st.booleans())
+def test_span_kernel_costs_are_the_per_segment_bits(inputs, regrid):
+    """Every centroid cost the span kernel writes is bit for bit the one
+    :func:`reference_centroid_cost` computes for its segment alone; also
+    after a regrid onto the full grid, where the carried costs stay and
+    the rest are fresh."""
+    relation, attributes, config, cuts, max_length = inputs
+    scorer = ExplainSession(relation, "m", attributes, config=config).scorer(config=config)
+    solver = make_solver(scorer, config)
+    costs = SegmentationCosts(
+        scorer, solver, variant=config.variant, cut_positions=cuts, max_length=max_length
+    )
+    if regrid:
+        costs = costs.extend(scorer, solver)
+    expected = reference_cost_matrix(costs)
+    assert costs.cost_matrix.view(np.int64).tolist() == expected.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("variant", CENTROID_VARIANTS)
 def test_centroid_cost_matches_reference(covid_like, variant):
     """Vectorized centroid costs == sum of reference distances."""
     scorer, solver = covid_like
