@@ -331,6 +331,40 @@ def reuseport_available() -> bool:
     return hasattr(socket, "SO_REUSEPORT")
 
 
+#: glibc ``mallopt`` parameters (``malloc.h``).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def keep_freed_heap() -> None:
+    """Keep the memory one query frees for the next (glibc only).
+
+    A cold query builds (epsilon, segments) score matrices of a few MB
+    (a solve chunk is budgeted at 32 MB) and frees them when it returns.
+    glibc maps a block at or above its mmap threshold on its own and
+    unmaps it when freed, and trims free heap top beyond its trim
+    threshold, so the next query faults that memory in again page by
+    page: ~2,000 minor faults per cold query over a 256-candidate flat
+    cube, whose cost follows the host's memory load.  glibc raises both
+    thresholds itself, to the largest mmapped block freed so far (at
+    most 32 MiB) and twice that, so how much a query pages depends on
+    what the process happened to free before.  A server starts at that
+    ceiling instead: blocks under 32 MiB come from the heap, and up to
+    64 MiB of free heap top stays mapped.  A no-op where the C library
+    has no ``mallopt``.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 #: How long :meth:`ServeApp.shutdown` waits for in-flight requests.
 SHUTDOWN_GRACE_SECONDS = 5.0
 
@@ -536,7 +570,12 @@ class ServeApp:
     # Lifecycle
     # ------------------------------------------------------------------
     def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown` (CLI mode)."""
+        """Serve on the calling thread until :meth:`shutdown` (CLI mode).
+
+        The process is then the server's, so its allocator keeps freed
+        memory for the next query (:func:`keep_freed_heap`).
+        """
+        keep_freed_heap()
         self._start_flusher()
         self._start_profiler()
         self._accepting = True

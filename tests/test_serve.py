@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import platform
 import re
 import socket
 import socketserver
@@ -617,6 +618,96 @@ def test_serve_cli_smoke_and_cli_parity():
     for explanation in served:
         assert explanation in cli_out
     assert f"K={explain['k']}" in cli_out
+
+
+class _FakeLibc:
+    def __init__(self):
+        self.calls: list[tuple[int, int]] = []
+
+    def mallopt(self, parameter: int, value: int) -> int:
+        self.calls.append((parameter, value))
+        return 1
+
+
+def test_keep_freed_heap_sets_both_thresholds(monkeypatch):
+    """On Linux the server fixes glibc's mmap threshold (32 MiB) and trim
+    threshold (64 MiB); elsewhere, or without ``mallopt``, it does nothing."""
+    import ctypes
+
+    from repro.serve import http as serve_http
+
+    libc = _FakeLibc()
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: libc)
+    monkeypatch.setattr(serve_http.sys, "platform", "linux")
+    serve_http.keep_freed_heap()
+    assert libc.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+
+    libc.calls.clear()
+    monkeypatch.setattr(serve_http.sys, "platform", "darwin")
+    serve_http.keep_freed_heap()
+    assert libc.calls == []
+
+    monkeypatch.setattr(serve_http.sys, "platform", "linux")
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())
+    serve_http.keep_freed_heap()  # no mallopt: no error
+
+
+def test_serve_forever_keeps_the_freed_heap(monkeypatch):
+    """The CLI's serving loop sets the allocator policy; ``start`` (tests,
+    embedding) leaves the host process's allocator alone."""
+    from repro.serve import http as serve_http
+
+    calls: list[int] = []
+    monkeypatch.setattr(serve_http, "keep_freed_heap", lambda: calls.append(1))
+    app = make_app(datasets=["covid-total"], port=0, access_log=False).start()
+    app.shutdown()
+    assert calls == []
+
+    app = make_app(datasets=["covid-total"], port=0, access_log=False)
+    thread = threading.Thread(target=app.serve_forever, daemon=True)
+    thread.start()
+    deadline = time.monotonic() + 10.0
+    while not calls and time.monotonic() < deadline:
+        time.sleep(0.01)
+    app.shutdown()
+    thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    assert calls == [1]
+
+
+_REFAULT_PROBE = """
+import resource
+import numpy as np
+from repro.serve.http import keep_freed_heap
+
+keep_freed_heap()
+size = (4 << 20) // 8
+np.ones(size)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+np.ones(size)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="glibc's mallopt only",
+)
+def test_freed_heap_is_reused_without_page_faults():
+    """After :func:`keep_freed_heap`, a freed 4 MiB block serves the next
+    4 MiB array without faulting its 1,024 pages in again (glibc's default
+    unmaps or trims it).  In a child process: the policy is process-wide."""
+    import os
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = REPO_SRC + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    probe = subprocess.run(
+        [sys.executable, "-c", _REFAULT_PROBE],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert int(probe.stdout) < 64
 
 
 def test_register_during_inflight_build_never_caches_stale_session():
